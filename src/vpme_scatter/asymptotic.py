@@ -259,14 +259,30 @@ def fourier_f_star(datum: AsymptoticDatum, k: int, eta: float) -> complex:
         return complex(
             datum.amplitude * coeff * math.exp(-(datum.sigma**2) * eta**2 / 2.0)
         )
-    xn, vn, tab = datum.x_nodes, datum.v_nodes, datum.values
-    phase = np.exp(-2j * np.pi * k * xn)[:, None] * np.exp(-1j * eta * vn)[None, :]
-    integrand = tab * phase
-    # x is periodic and uniform in the common case; trapezoid handles both axes.
-    inner = np.trapezoid(integrand, vn, axis=1)
-    xe = np.concatenate([xn, [xn[0] + 1.0]])
-    ie = np.concatenate([inner, inner[:1]])
-    return complex(np.trapezoid(ie, xe))
+    return complex(tabulated_fourier(datum, np.asarray([k]), np.asarray([eta]))[0, 0])
+
+
+def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
+    gaps = np.diff(nodes)
+    w = np.zeros(nodes.size)
+    w[:-1] += gaps / 2.0
+    w[1:] += gaps / 2.0
+    return w
+
+
+def tabulated_fourier(datum: AsymptoticDatum, ks, etas) -> np.ndarray:
+    """fhat*(k, eta) of a tabulated datum on the lattice ks x etas.
+
+    Trapezoid quadrature, periodic in x (the wrap cell [x_last, x_first + 1)
+    closes the period) and truncated in v, evaluated as the matrix product
+    Ex(k, x) @ values @ Ev(v, eta) with the weights folded into both factors.
+    """
+    xn, vn = datum.x_nodes, datum.v_nodes
+    wx = _trapezoid_weights(np.concatenate([xn, [xn[0] + 1.0]]))
+    wx[0] += wx[-1]
+    ex = wx[:-1] * np.exp(-2j * np.pi * np.outer(ks, xn))
+    ev = _trapezoid_weights(vn)[:, None] * np.exp(-1j * np.outer(vn, etas))
+    return ex @ datum.values @ ev
 
 
 def h_limit(datum: AsymptoticDatum, v):
@@ -310,7 +326,11 @@ def default_vmax(datum: AsymptoticDatum, tol: float = 1e-10) -> float:
         ratio = max(2.0 * datum.amplitude / tol, 10.0)
         family_cut = datum.sigma * (math.sqrt(2.0 * math.log(ratio)) + 2.0)
     else:
-        family_cut = float(max(abs(datum.v_nodes[0]), abs(datum.v_nodes[-1])))
+        # Largest |v| node where the table still exceeds tol somewhere in x;
+        # the table edge would let the labels of later sweeps leave the table.
+        speed = np.abs(datum.v_nodes)
+        support = np.max(np.abs(datum.values), axis=0) > tol
+        family_cut = float(np.max(speed[support] if support.any() else speed))
     return min(class_cut, family_cut)
 
 
@@ -354,16 +374,12 @@ def validate_class_membership(datum: AsymptoticDatum) -> ValidationReport:
     else:
         eta_max = 14.0 * math.log(10.0) / cls.a
         etas = np.linspace(0.0, eta_max, 160)
-        ok = True
-        for k in range(0, ENVELOPE_K_MAX + 1):
-            env = ENVELOPE_PREFACTOR / (1.0 + k**cls.alpha) * np.exp(-cls.a * etas)
-            for eta, bound in zip(etas, env):
-                mag = abs(fourier_f_star(datum, k, eta))
-                excess = math.log(mag / bound) if mag > 0 else -np.inf
-                max_excess = max(max_excess, excess)
-                if mag > bound * (1.0 + 1e-10):
-                    ok = False
-        fourier_envelope = ok
+        ks = np.arange(ENVELOPE_K_MAX + 1)
+        mag = np.abs(tabulated_fourier(datum, ks, etas))
+        env = ENVELOPE_PREFACTOR / (1.0 + ks[:, None] ** cls.alpha) * np.exp(-cls.a * etas)
+        with np.errstate(divide="ignore"):
+            max_excess = float(np.max(np.log(mag / env)))
+        fourier_envelope = bool(np.all(mag <= env * (1.0 + 1e-10)))
 
     return ValidationReport(
         nonnegative=nonnegative,

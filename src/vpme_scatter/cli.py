@@ -16,19 +16,19 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .asymptotic import default_vmax, validate_class_membership
+from .asymptotic import validate_class_membership
 from .characteristics import FieldHistory
 from .config import RunConfig, build_datum, parse_config, serialize_config
 from .diagnostics import decay_fit, instability_report, lipschitz_estimate, weak_convergence_gap
 from .errors import ConfigError
 from .poisson import SpatialGrid
-from .scheme import RunSettings, SchemeResult, default_horizon, run_iteration
+from .scheme import RunSettings, SchemeResult, run_iteration
 
 OUT_ROOT_ENV = "VPME_OUT_ROOT"
 
@@ -55,18 +55,8 @@ def _fmt(x: float) -> str:
 
 
 def _settings(config: RunConfig) -> RunSettings:
-    return RunSettings(
-        nx=config.grid.nx,
-        nv=config.grid.nv,
-        nt=config.grid.nt,
-        vmax=config.grid.vmax,
-        horizon=config.grid.horizon,
-        newton_tol=config.solver.newton_tol,
-        ode_substeps=config.solver.ode_substeps,
-        fixed_point_tol=config.solver.fixed_point_tol,
-        max_iterations=config.solver.max_iterations,
-        exploratory=config.mode == "exploratory",
-    )
+    """The numerics of a configured run."""
+    return config.settings
 
 
 def resolve_out_dir(config: RunConfig, override: str | None) -> Path:
@@ -175,21 +165,20 @@ def run_command(config: RunConfig, out_dir: Path) -> int:
         return 1
 
     t_phase = time.perf_counter()
-    result = run_iteration(datum, _settings(config))
+    result = run_iteration(datum, config.settings)
     manifest.phase_seconds["iterate"] = time.perf_counter() - t_phase
 
     t_phase = time.perf_counter()
     history = result.field_history
     decay = decay_fit(history, config.klass)
-    vmax = config.grid.vmax if config.grid.vmax is not None else default_vmax(datum)
     idx = np.unique(np.linspace(0, history.times.size - 1, 6).astype(int))
     weak = weak_convergence_gap(
         datum,
         history,
         [float(history.times[i]) for i in idx],
-        vmax=vmax,
-        nv=min(config.grid.nv, 512),
-        substeps=config.solver.ode_substeps,
+        vmax=result.vmax,
+        nv=min(config.settings.nv, 512),
+        substeps=config.settings.ode_substeps,
     )
     lip = lipschitz_estimate(history)
     manifest.phase_seconds["diagnostics"] = time.perf_counter() - t_phase
@@ -236,10 +225,10 @@ def demo_instability_command(config: RunConfig, out_dir: Path) -> int:
         print("demo-instability needs a gaussian-cosine mu specification", file=sys.stderr)
         return 1
     report = instability_report(
-        config.datum.amplitude / 1.0,
+        config.datum.amplitude,
         config.datum.sigma,
         config.klass,
-        _settings(config),
+        config.settings,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [
@@ -291,16 +280,12 @@ def _load_config(path: str, args) -> RunConfig:
     config = parse_config(text)
     updates = {}
     if getattr(args, "mode", None):
-        updates["mode"] = args.mode
+        updates["settings"] = replace(config.settings, exploratory=args.mode == "exploratory")
     if getattr(args, "out", None):
         updates["out_dir"] = args.out
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
-    if updates:
-        from dataclasses import replace
-
-        config = replace(config, **updates)
-    return config
+    return replace(config, **updates)
 
 
 def main(argv: list[str] | None = None) -> int:

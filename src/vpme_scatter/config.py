@@ -1,8 +1,11 @@
-"""Run configuration: YAML parsing, validation, defaults, and serialization."""
+"""Run configuration: YAML parsing, validation, and serialization.
+
+The numerics of a run are one ``RunSettings``; its fields carry the defaults.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
@@ -13,20 +16,21 @@ from .asymptotic import (
     make_gaussian_cosine_datum,
 )
 from .errors import ConfigError, ParameterError
+from .scheme import RunSettings
 
-DEFAULTS = {
-    "nx": 256,
-    "nv": 512,
-    "nt": 200,
-    "newton_tol": 1e-10,
-    "ode_substeps": 4,
-    "fixed_point_tol": 1e-9,
-    "max_iterations": 30,
-    "mode": "theorem",
-    "seed": 0,
-}
-
-MIN_COUNTS = {"nx": 8, "nv": 2, "nt": 2, "ode_substeps": 1, "max_iterations": 1}
+# (section, YAML key, RunSettings field, type) of every numeric setting;
+# run.mode maps to RunSettings.exploratory.
+SETTINGS_KEYS = (
+    ("grid", "nx", "nx", int),
+    ("grid", "nv", "nv", int),
+    ("grid", "nt", "nt", int),
+    ("grid", "vmax", "vmax", float),
+    ("grid", "T", "horizon", float),
+    ("solver", "newton_tol", "newton_tol", float),
+    ("solver", "ode_substeps", "ode_substeps", int),
+    ("solver", "fixed_point_tol", "fixed_point_tol", float),
+    ("solver", "max_iterations", "max_iterations", int),
+)
 
 
 @dataclass(frozen=True)
@@ -38,31 +42,16 @@ class DatumSpec:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    nx: int
-    nv: int
-    nt: int
-    vmax: float | None = None
-    horizon: float | None = None
-
-
-@dataclass(frozen=True)
-class SolverSpec:
-    newton_tol: float
-    ode_substeps: int
-    fixed_point_tol: float
-    max_iterations: int
-
-
-@dataclass(frozen=True)
 class RunConfig:
     datum: DatumSpec
     klass: ClassParameters
-    grid: GridSpec
-    solver: SolverSpec
-    mode: str = "theorem"
+    settings: RunSettings
     out_dir: str | None = None
     seed: int = 0
+
+    @property
+    def mode(self) -> str:
+        return "exploratory" if self.settings.exploratory else "theorem"
 
 
 _REQUIRED = object()
@@ -85,6 +74,23 @@ def _get(section: dict, section_name: str, key: str, typ, default=_REQUIRED):
             f"key {section_name}.{key} has invalid value {val!r} (expected {typ.__name__})",
             key=f"{section_name}.{key}",
         ) from None
+
+
+def _check_settings(s: RunSettings, klass: ClassParameters) -> None:
+    for key, least in (("nx", 8), ("nv", 2), ("nt", 2)):
+        if getattr(s, key) < least:
+            raise ConfigError(f"grid.{key} must be >= {least}", key=f"grid.{key}")
+    for key in ("nx", "nv"):
+        if getattr(s, key) % 2 != 0:
+            raise ConfigError(f"grid.{key} must be even", key=f"grid.{key}")
+    if s.vmax is not None and s.vmax <= 0:
+        raise ConfigError("grid.vmax must be positive", key="grid.vmax")
+    if s.horizon is not None and s.horizon <= klass.t0:
+        raise ConfigError("T must exceed class.t0", key="T")
+    if s.newton_tol <= 0 or s.fixed_point_tol <= 0:
+        raise ConfigError("solver tolerances must be positive", key="solver.newton_tol")
+    if s.ode_substeps < 1 or s.max_iterations < 1:
+        raise ConfigError("solver counts must be >= 1", key="solver.ode_substeps")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -125,47 +131,27 @@ def parse_config(text: str) -> RunConfig:
     except ParameterError as exc:
         raise ConfigError(f"class parameters invalid: {exc}", key="class") from exc
 
-    g = doc.get("grid", {}) or {}
-    grid = GridSpec(
-        nx=_get(g, "grid", "nx", int, DEFAULTS["nx"]),
-        nv=_get(g, "grid", "nv", int, DEFAULTS["nv"]),
-        nt=_get(g, "grid", "nt", int, DEFAULTS["nt"]),
-        vmax=_get(g, "grid", "vmax", float, None),
-        horizon=_get(g, "grid", "T", float, None),
-    )
-    for key, minval in (("nx", MIN_COUNTS["nx"]), ("nv", MIN_COUNTS["nv"]), ("nt", MIN_COUNTS["nt"])):
-        if getattr(grid, key) < minval:
-            raise ConfigError(f"grid.{key} must be >= {minval}", key=f"grid.{key}")
-    if grid.nx % 2 != 0:
-        raise ConfigError("grid.nx must be even", key="grid.nx")
-    if grid.nv % 2 != 0:
-        raise ConfigError("grid.nv must be even", key="grid.nv")
-    if grid.vmax is not None and grid.vmax <= 0:
-        raise ConfigError("grid.vmax must be positive", key="grid.vmax")
-    if grid.horizon is not None and grid.horizon <= klass.t0:
-        raise ConfigError("T must exceed class.t0", key="T")
-
-    s = doc.get("solver", {}) or {}
-    solver = SolverSpec(
-        newton_tol=_get(s, "solver", "newton_tol", float, DEFAULTS["newton_tol"]),
-        ode_substeps=_get(s, "solver", "ode_substeps", int, DEFAULTS["ode_substeps"]),
-        fixed_point_tol=_get(s, "solver", "fixed_point_tol", float, DEFAULTS["fixed_point_tol"]),
-        max_iterations=_get(s, "solver", "max_iterations", int, DEFAULTS["max_iterations"]),
-    )
-    if solver.newton_tol <= 0 or solver.fixed_point_tol <= 0:
-        raise ConfigError("solver tolerances must be positive", key="solver.newton_tol")
-    if solver.ode_substeps < 1 or solver.max_iterations < 1:
-        raise ConfigError("solver counts must be >= 1", key="solver.ode_substeps")
+    given = {}
+    for section, key, name, typ in SETTINGS_KEYS:
+        values = doc.get(section, {}) or {}
+        if key in values:
+            given[name] = _get(values, section, key, typ)
 
     r = doc.get("run", {}) or {}
-    mode = _get(r, "run", "mode", str, DEFAULTS["mode"])
-    if mode not in ("theorem", "exploratory"):
-        raise ConfigError(f"run.mode must be 'theorem' or 'exploratory', got {mode!r}", key="run.mode")
-    out_dir = _get(r, "run", "out", str, None)
-    seed = _get(r, "run", "seed", int, DEFAULTS["seed"])
+    if "mode" in r:
+        mode = _get(r, "run", "mode", str)
+        if mode not in ("theorem", "exploratory"):
+            raise ConfigError(f"run.mode must be 'theorem' or 'exploratory', got {mode!r}", key="run.mode")
+        given["exploratory"] = mode == "exploratory"
+    settings = RunSettings(**given)
+    _check_settings(settings, klass)
 
     return RunConfig(
-        datum=datum, klass=klass, grid=grid, solver=solver, mode=mode, out_dir=out_dir, seed=seed
+        datum=datum,
+        klass=klass,
+        settings=settings,
+        out_dir=_get(r, "run", "out", str, None),
+        seed=_get(r, "run", "seed", int, RunConfig.seed),
     )
 
 
@@ -180,13 +166,6 @@ def serialize_config(config: RunConfig) -> str:
             "alpha": config.klass.alpha,
             "t0": config.klass.t0,
         },
-        "grid": {"nx": config.grid.nx, "nv": config.grid.nv, "nt": config.grid.nt},
-        "solver": {
-            "newton_tol": config.solver.newton_tol,
-            "ode_substeps": config.solver.ode_substeps,
-            "fixed_point_tol": config.solver.fixed_point_tol,
-            "max_iterations": config.solver.max_iterations,
-        },
         "run": {"mode": config.mode, "seed": config.seed},
     }
     if config.datum.family == "gaussian-cosine":
@@ -194,10 +173,10 @@ def serialize_config(config: RunConfig) -> str:
         doc["datum"]["sigma"] = config.datum.sigma
     else:
         doc["datum"]["path"] = config.datum.path
-    if config.grid.vmax is not None:
-        doc["grid"]["vmax"] = config.grid.vmax
-    if config.grid.horizon is not None:
-        doc["grid"]["T"] = config.grid.horizon
+    for section, key, name, _ in SETTINGS_KEYS:
+        value = getattr(config.settings, name)
+        if value is not None:
+            doc.setdefault(section, {})[key] = value
     if config.out_dir is not None:
         doc["run"]["out"] = config.out_dir
     return yaml.safe_dump(doc, sort_keys=True)

@@ -21,7 +21,7 @@ from .asymptotic import (
     make_gaussian_cosine_datum,
     validate_class_membership,
 )
-from .characteristics import FieldHistory, transport_to_horizon
+from .characteristics import DEFAULT_SUBSTEPS, FieldHistory, transport_to_horizon
 from .errors import ParameterError
 from .scheme import RunSettings, SchemeResult, run_iteration, simpson_weights
 
@@ -132,7 +132,7 @@ def weak_convergence_gap(
     testset: dict[str, callable] | None = None,
     vmax: float = 8.0,
     nv: int = 256,
-    substeps: int = 4,
+    substeps: int = DEFAULT_SUBSTEPS,
 ) -> WeakConvergenceReport:
     """Phase-space quadrature of the transported datum against each test function.
 
@@ -186,22 +186,23 @@ def instability_report(
     """
     if mu_amplitude <= 0.0 or mu_sigma <= 0.0:
         raise ParameterError("mu amplitude and width must be positive")
-    v = np.linspace(0.0, max(10.0 * mu_sigma, 20.0), 4001)
-    gv = np.exp(-(v**2) / (2.0 * mu_sigma**2)) / (mu_sigma * math.sqrt(2.0 * math.pi))
-    if np.max(mu_amplitude * gv * 2.0 * (1.0 + v**4)) > klass.a2 * (1.0 + 1e-12):
-        raise ParameterError("mu violates the velocity-tail bound a2 / (2 (1 + v^4))")
-
     datum = make_gaussian_cosine_datum(mu_amplitude, mu_sigma, klass)
     membership = validate_class_membership(datum)
+    if not membership.pointwise_tail:
+        raise ParameterError("mu violates the velocity-tail bound a2 / (2 (1 + v^4))")
     result = run_iteration(datum, settings)
     history = result.field_history
 
     if gap_times is None:
         idx = np.unique(np.linspace(0, history.times.size - 1, 6).astype(int))
         gap_times = [float(history.times[i]) for i in idx]
-    vmax = settings.vmax if settings.vmax is not None else 8.0 * mu_sigma
     weak = weak_convergence_gap(
-        datum, history, gap_times, vmax=vmax, nv=min(settings.nv, 512)
+        datum,
+        history,
+        gap_times,
+        vmax=result.vmax,
+        nv=min(settings.nv, 512),
+        substeps=settings.ode_substeps,
     )
 
     # Pointwise probe at the horizon: f(T, x, v*) against mu(v*).

@@ -19,7 +19,7 @@ import numpy as np
 from .asymptotic import AsymptoticDatum, default_vmax, eval_f_star, validate_class_membership
 from .characteristics import DEFAULT_SUBSTEPS, FieldHistory, transport_to_horizon
 from .errors import ParameterError
-from .poisson import SpatialGrid, make_field_slice
+from .poisson import NEWTON_TOL, SpatialGrid, make_field_slice
 
 MAX_ITERATIONS = 30
 FIXED_POINT_RTOL = 1e-9
@@ -42,8 +42,10 @@ class DensityHistory:
 
 @dataclass
 class SchemeResult:
-    """Trace of one fixed-point run: norms, deltas, ratios, and final histories."""
+    """Trace of one fixed-point run: resolved window, norms, deltas, ratios, final histories."""
 
+    horizon: float
+    vmax: float
     norms: list[float] = field(default_factory=list)
     deltas: list[float] = field(default_factory=list)
     ratios: list[float] = field(default_factory=list)
@@ -96,7 +98,7 @@ def push_density(
 
 
 def field_update(
-    density: DensityHistory, grid: SpatialGrid, newton_tol: float = 1e-10
+    density: DensityHistory, grid: SpatialGrid, newton_tol: float = NEWTON_TOL
 ) -> FieldHistory:
     """Solve the split Poisson problem on every slice and assemble the new field."""
     slices = []
@@ -126,14 +128,18 @@ def weighted_norm(history: FieldHistory, a: float, t0: float) -> float:
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Numerical knobs of one fixed-point run (grid sizes and tolerances)."""
+    """Numerics of one fixed-point run, with the defaults of the configuration file.
+
+    vmax and horizon left None are resolved by run_iteration and recorded in
+    its SchemeResult.
+    """
 
     nx: int = 256
     nv: int = 512
     nt: int = 200
     vmax: float | None = None
     horizon: float | None = None
-    newton_tol: float = 1e-10
+    newton_tol: float = NEWTON_TOL
     ode_substeps: int = DEFAULT_SUBSTEPS
     fixed_point_tol: float = FIXED_POINT_RTOL
     max_iterations: int = MAX_ITERATIONS
@@ -174,7 +180,7 @@ def run_iteration(datum: AsymptoticDatum, settings: RunSettings) -> SchemeResult
     vmax = settings.vmax if settings.vmax is not None else default_vmax(datum)
     times = np.linspace(klass.t0, horizon, settings.nt + 1)
 
-    result = SchemeResult()
+    result = SchemeResult(horizon=horizon, vmax=vmax)
     history = FieldHistory.zero(times, grid)
     density = None
     tol = None

@@ -20,6 +20,7 @@ from vpme_scatter.asymptotic import (
     load_tabulated_grid,
     make_gaussian_cosine_datum,
     make_tabulated_datum,
+    tabulated_fourier,
     validate_class_membership,
     velocity_cutoff,
     zeta_upper_bound,
@@ -170,6 +171,22 @@ class TestTabulatedFamily:
             got = fourier_f_star(tab, k, eta)
             ref = fourier_f_star(src, k, eta)
             assert abs(got - ref) < 1e-4
+
+    def test_fourier_lattice_matches_pointwise_quadrature(self):
+        # Reference: the trapezoid rule applied point by point, v first, then
+        # x over the period closed by the wrap node x_first + 1.
+        _, tab = self._sampled(nx=12, nv=41)
+        ks = np.arange(-3, 4)
+        etas = np.linspace(0.0, 5.0, 6)
+        lattice = tabulated_fourier(tab, ks, etas)
+        xe = np.append(tab.x_nodes, tab.x_nodes[0] + 1.0)
+        for i, k in enumerate(ks):
+            for j, eta in enumerate(etas):
+                phase = np.outer(np.exp(-2j * np.pi * k * tab.x_nodes), np.exp(-1j * eta * tab.v_nodes))
+                inner = np.trapezoid(tab.values * phase, tab.v_nodes, axis=1)
+                ref = np.trapezoid(np.append(inner, inner[0]), xe)
+                assert abs(lattice[i, j] - ref) <= 1e-15
+                assert abs(fourier_f_star(tab, k, eta) - ref) <= 1e-15
 
     def test_csv_roundtrip(self, tmp_path):
         x = np.arange(6) / 6.0

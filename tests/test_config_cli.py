@@ -9,13 +9,13 @@ import pytest
 
 from vpme_scatter.cli import main, resolve_out_dir
 from vpme_scatter.config import (
-    DEFAULTS,
     RunConfig,
     build_datum,
     parse_config,
     serialize_config,
 )
 from vpme_scatter.errors import ConfigError
+from vpme_scatter.scheme import RunSettings
 
 MINIMAL = """
 datum:
@@ -55,11 +55,11 @@ run:
 class TestParsing:
     def test_defaults_applied(self):
         cfg = parse_config(MINIMAL)
-        assert cfg.grid.nx == DEFAULTS["nx"]
-        assert cfg.grid.nv == DEFAULTS["nv"]
-        assert cfg.solver.newton_tol == DEFAULTS["newton_tol"]
+        assert cfg.settings.nx == RunSettings.nx
+        assert cfg.settings.nv == RunSettings.nv
+        assert cfg.settings.newton_tol == RunSettings.newton_tol
         assert cfg.mode == "theorem"
-        assert cfg.grid.vmax is None and cfg.grid.horizon is None
+        assert cfg.settings.vmax is None and cfg.settings.horizon is None
 
     def test_missing_section(self):
         with pytest.raises(ConfigError) as exc:
@@ -146,7 +146,7 @@ class TestRunCommand:
         assert manifest["final_delta"] < 1e-8
         assert set(manifest["phase_seconds"]) == {"validate", "iterate", "diagnostics", "emit"}
         # The embedded config reparses to the run's configuration.
-        assert parse_config(manifest["config"]).grid.nx == 32
+        assert parse_config(manifest["config"]).settings.nx == 32
 
     def test_tables_parse_and_are_consistent(self, finished_run):
         _, out, _ = finished_run

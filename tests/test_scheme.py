@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from vpme_scatter.asymptotic import datum_mass, eval_f_star, make_gaussian_cosine_datum
+from vpme_scatter.asymptotic import (
+    datum_mass,
+    eval_f_star,
+    make_gaussian_cosine_datum,
+    make_tabulated_datum,
+)
 from vpme_scatter.characteristics import FieldHistory, PhasePoint
 from vpme_scatter.errors import DomainError, ParameterError
 from vpme_scatter.poisson import SpatialGrid, make_field_slice, spectral_derivative
@@ -202,3 +207,21 @@ class TestReconstruction:
         )
         peak = 2.0 * 0.05 / math.sqrt(2 * math.pi)
         assert 0.0 <= val <= peak * (1.0 + 1e-9)
+
+
+class TestImplicitVelocityWindow:
+    def test_table_with_implicit_vmax_converges(self):
+        # The window follows the table's support rather than its edge, so the
+        # labels of later sweeps stay inside [-8, 8].
+        x = np.arange(32) / 32.0
+        v = np.linspace(-8.0, 8.0, 129)
+        g = np.exp(-(v**2) / 2.0) / math.sqrt(2.0 * math.pi)
+        vals = np.outer(1.0 + 0.2 * np.cos(2.0 * np.pi * x), g)
+        datum = make_tabulated_datum(x, v, vals, EXPLORATORY_KLASS)
+        settings = RunSettings(nx=32, nv=32, nt=10, horizon=3.0, exploratory=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            result = run_iteration(datum, settings)
+        assert result.converged
+        assert result.vmax < 8.0
+        assert result.horizon == 3.0
