@@ -6,6 +6,14 @@ the field is treated as exactly zero past T.  Positions are kept unreduced
 during integration (the label formula X(T) - T V(T) needs the winding) and
 reduced mod 1 only at field sampling and output.
 
+Field sampling is the solver's inner loop.  Each FieldHistory stores, beside
+E, the power-basis coefficients of the four-point periodic cubic on every cell
+of every time node, built once when the history is made.  A sample blends the
+two neighbouring coefficient rows linearly in time (the coefficients are
+linear in the nodal values, so this is the interpolant of the blended row) and
+evaluates it by one gather per coefficient and a Horner step in the cell
+offset.
+
 Integration is fixed-step RK4, vectorized over batches of phase points.  Past
 the history's quiet time (where the stored field drops below a negligible
 impulse threshold) the flow is advanced in closed form as free transport.
@@ -47,28 +55,53 @@ class PhasePoint:
         object.__setattr__(self, "x", float(self.x) % 1.0)
 
 
-def _cubic_periodic(row: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Four-point Lagrange cubic interpolation of periodic nodal data at x (mod 1)."""
-    n = row.shape[-1]
-    p = np.mod(x, 1.0) * n
-    j = np.floor(p).astype(np.int64)
-    j = np.clip(j, 0, n - 1)  # guard the mod-rounding edge p == n
-    th = p - j
-    # Padded copy avoids four modular index arrays on the hot path.
-    rowp = np.concatenate((row[-1:], row, row[:2]))
-    a = th - 1.0
-    b = th - 2.0
-    c = th + 1.0
-    wm1 = -th * a * b / 6.0
-    w0 = c * a * b / 2.0
-    w1 = -c * th * b / 2.0
-    w2 = c * th * a / 6.0
-    return wm1 * rowp[j] + w0 * rowp[j + 1] + w1 * rowp[j + 2] + w2 * rowp[j + 3]
+def _cubic_coefficients(E: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients of the four-point periodic cubic on every cell.
+
+    For nodal values y[j-1], y[j], y[j+1], y[j+2] the interpolant on cell j is
+    c0 + c1 th + c2 th^2 + c3 th^3 with th = n x - j in [0, 1).  Returns shape
+    (rows, 4, n) with c0..c3 along the middle axis.
+    """
+    ym1 = np.roll(E, 1, axis=-1)
+    y1 = np.roll(E, -1, axis=-1)
+    y2 = np.roll(E, -2, axis=-1)
+    coef = np.empty(E.shape[:-1] + (4, E.shape[-1]))
+    coef[..., 0, :] = E
+    coef[..., 1, :] = -ym1 / 3.0 - E / 2.0 + y1 - y2 / 6.0
+    coef[..., 2, :] = ym1 / 2.0 - E + y1 / 2.0
+    coef[..., 3, :] = (y2 - ym1) / 6.0 + (E - y1) / 2.0
+    return coef
+
+
+def _eval_cubic(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The periodic cubic with (4, n) cell coefficients at unreduced positions x.
+
+    Forming n x before reducing adds round-off of the order of n ulp(x), which
+    is the uncertainty an unreduced position already carries.
+    """
+    n = coef.shape[-1]
+    th = x * n
+    j = np.floor(th)
+    th -= j  # cell offset in [0, 1)
+    j = j.astype(np.intp)
+    j %= n
+    y = coef[3].take(j)
+    y *= th
+    y += coef[2].take(j)
+    y *= th
+    y += coef[1].take(j)
+    y *= th
+    y += coef[0].take(j)
+    return y
 
 
 @dataclass(frozen=True)
 class FieldHistory:
-    """Time x space samples of the split electric field for one scheme iterate."""
+    """Time x space samples of the split electric field for one scheme iterate.
+
+    Derived on construction, read-only: E = Ebar + Etilde, and coef, the
+    (times, 4, nx) cubic cell coefficients of E that sample evaluates.
+    """
 
     times: np.ndarray
     grid: SpatialGrid
@@ -91,6 +124,8 @@ class FieldHistory:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "E", self.Ebar + self.Etilde)
         self.E.setflags(write=False)
+        object.__setattr__(self, "coef", _cubic_coefficients(self.E))
+        self.coef.setflags(write=False)
 
     @classmethod
     def zero(cls, times: np.ndarray, grid: SpatialGrid) -> "FieldHistory":
@@ -138,18 +173,24 @@ class FieldHistory:
         return float(self.times[idx])
 
     def sample(self, t: float, x: np.ndarray) -> np.ndarray:
-        """E(t, x): cubic periodic interpolation in x, linear in t; zero past the horizon."""
+        """E(t, x): cubic periodic interpolation in x, linear in t; zero past the horizon.
+
+        The cell coefficients of the two time nodes around t are blended
+        linearly in time and evaluated at x, which may be unreduced.  At the
+        horizon itself the last node is used; strictly past it the field is
+        zero.
+        """
+        x = np.asarray(x, dtype=float)
         if t < self.t0 - 1e-12:
             raise OutOfRangeError(f"time {t} precedes the history start {self.t0}")
         if t >= self.horizon:
             if t == self.horizon:
-                return _cubic_periodic(self.E[-1], np.asarray(x, dtype=float))
-            return np.zeros_like(np.asarray(x, dtype=float))
+                return _eval_cubic(self.coef[-1], x)
+            return np.zeros_like(x)
         s = (t - self.t0) / self.dt
         i = max(0, min(int(np.floor(s)), self.times.size - 2))
         th = s - i
-        row = (1.0 - th) * self.E[i] + th * self.E[i + 1]
-        return _cubic_periodic(row, np.asarray(x, dtype=float))
+        return _eval_cubic((1.0 - th) * self.coef[i] + th * self.coef[i + 1], x)
 
 
 @dataclass(frozen=True)
@@ -203,15 +244,18 @@ def _rk4_span(field, t_from: float, t_to: float, X, V, step: float):
         t_next = t_to if i == nsteps - 1 else t_from + span * ((i + 1) / nsteps)
         dt = t_next - t
         t_mid = 0.5 * (t + t_next)
-        k1v = field.sample(t, X)
-        k2x = V + 0.5 * dt * k1v
-        k2v = field.sample(t_mid, X + 0.5 * dt * V)
-        k3v = field.sample(t_mid, X + 0.5 * dt * k2x)
-        k3x = V + 0.5 * dt * k2v
-        k4x = V + dt * k3v
-        k4v = field.sample(t_next, X + dt * k3x)
-        X = X + dt / 6.0 * (V + 2.0 * k2x + 2.0 * k3x + k4x)
-        V = V + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        # Classical RK4 written for X'' = E(t, X) (Nystrom form): the
+        # position stages are X + c dt V + dt^2 (...) E, so fewer array passes.
+        k1 = field.sample(t, X)
+        X_half = X + 0.5 * dt * V
+        k2 = field.sample(t_mid, X_half)
+        k3 = field.sample(t_mid, X_half + (0.25 * dt * dt) * k1)
+        X = X + dt * V
+        k4 = field.sample(t_next, X + (0.5 * dt * dt) * k2)
+        k23 = k2 + k3
+        k123 = k1 + k23
+        X += (dt * dt / 6.0) * k123
+        V = V + (dt / 6.0) * (k123 + k23 + k4)
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
         raise IntegrationError("non-finite state during trajectory integration")
     return X, V

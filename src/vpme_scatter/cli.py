@@ -165,7 +165,7 @@ def run_command(config: RunConfig, out_dir: Path) -> int:
         return 1
 
     t_phase = time.perf_counter()
-    result = run_iteration(datum, config.settings)
+    result = run_iteration(datum, config.settings, report)
     manifest.phase_seconds["iterate"] = time.perf_counter() - t_phase
 
     t_phase = time.perf_counter()

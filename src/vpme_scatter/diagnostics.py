@@ -190,7 +190,7 @@ def instability_report(
     membership = validate_class_membership(datum)
     if not membership.pointwise_tail:
         raise ParameterError("mu violates the velocity-tail bound a2 / (2 (1 + v^4))")
-    result = run_iteration(datum, settings)
+    result = run_iteration(datum, settings, membership)
     history = result.field_history
 
     if gap_times is None:

@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotic import AsymptoticDatum, default_vmax, eval_f_star, validate_class_membership
+from .asymptotic import (
+    AsymptoticDatum,
+    ValidationReport,
+    default_vmax,
+    eval_f_star,
+    validate_class_membership,
+)
 from .characteristics import DEFAULT_SUBSTEPS, FieldHistory, transport_to_horizon
 from .errors import ParameterError
 from .poisson import NEWTON_TOL, SpatialGrid, make_field_slice
@@ -152,16 +158,20 @@ def default_horizon(klass, truncation: float = 1e-10) -> float:
     return max(T, klass.t0 + 1.0 / klass.a)
 
 
-def run_iteration(datum: AsymptoticDatum, settings: RunSettings) -> SchemeResult:
+def run_iteration(
+    datum: AsymptoticDatum, settings: RunSettings, report: ValidationReport | None = None
+) -> SchemeResult:
     """Alternate density pushes and field updates until the weighted delta is small.
 
     Outside the theorem regime (or for data failing class membership) the run
     proceeds only when settings.exploratory is set; contraction is then
     reported rather than asserted.  Non-convergence at the iteration cap is a
-    result, not an exception.
+    result, not an exception.  A caller that has already validated the datum
+    passes its report; otherwise the datum is validated here.
     """
     klass = datum.klass
-    report = validate_class_membership(datum)
+    if report is None:
+        report = validate_class_membership(datum)
     if not report.admissible:
         if not settings.exploratory:
             raise ParameterError(

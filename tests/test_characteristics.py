@@ -13,7 +13,8 @@ from vpme_scatter.characteristics import (
     PhaseLabel,
     PhasePoint,
     UniformDecayField,
-    _cubic_periodic,
+    _cubic_coefficients,
+    _eval_cubic,
     _rk4_span,
     flow_from_label,
     label_from_point,
@@ -32,19 +33,42 @@ def _cosine_history(nx=64, nt=80, t0=0.0, T=2.0, amp=0.3, rate=1.0):
     return FieldHistory(times=times, grid=grid, Ebar=E, Etilde=np.zeros_like(E))
 
 
+def _interp(row, x):
+    return _eval_cubic(_cubic_coefficients(np.asarray(row, dtype=float)), np.asarray(x))
+
+
+def _lagrange_reference(row, x):
+    """Four-point Lagrange cubic through the periodic nodes around each x, one point at a time."""
+    n = len(row)
+    out = []
+    for xi in x:
+        p = (xi % 1.0) * n
+        j = min(math.floor(p), n - 1)
+        th = p - j
+        ys = [row[(j + k) % n] for k in (-1, 0, 1, 2)]
+        weights = [
+            -th * (th - 1) * (th - 2) / 6,
+            (th + 1) * (th - 1) * (th - 2) / 2,
+            -(th + 1) * th * (th - 2) / 2,
+            (th + 1) * th * (th - 1) / 6,
+        ]
+        out.append(sum(w * y for w, y in zip(weights, ys)))
+    return np.array(out)
+
+
 class TestCubicInterpolation:
     def test_reproduces_nodes(self):
         rng = np.random.default_rng(0)
         row = rng.normal(size=32)
         x = np.arange(32) / 32.0
-        np.testing.assert_allclose(_cubic_periodic(row, x), row, atol=1e-13)
+        np.testing.assert_allclose(_interp(row, x), row, atol=1e-13)
 
     def test_trig_accuracy_fourth_order(self):
         xq = np.random.default_rng(1).uniform(0, 1, 400)
 
         def err(n):
             row = np.cos(2 * np.pi * np.arange(n) / n)
-            return np.max(np.abs(_cubic_periodic(row, xq) - np.cos(2 * np.pi * xq)))
+            return np.max(np.abs(_interp(row, xq) - np.cos(2 * np.pi * xq)))
 
         assert err(128) / err(256) == pytest.approx(16.0, rel=0.3)
 
@@ -54,8 +78,19 @@ class TestCubicInterpolation:
         rng = np.random.default_rng(seed)
         row = rng.normal(size=16)
         x = rng.uniform(0, 1, 20)
+        np.testing.assert_allclose(_interp(row, x), _interp(row, x + shift), atol=1e-12)
+
+    @given(
+        nx=st.sampled_from([8, 10, 64, 256]),
+        seed=st.integers(0, 2**32 - 1),
+        x=st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=40),
+    )
+    @hyp_settings(max_examples=60, deadline=None)
+    def test_matches_lagrange_reference(self, nx, seed, x):
+        row = np.random.default_rng(seed).normal(size=nx)
+        x = np.array(x)
         np.testing.assert_allclose(
-            _cubic_periodic(row, x), _cubic_periodic(row, x + shift), atol=1e-12
+            _interp(row, x), _lagrange_reference(row, x), rtol=0, atol=1e-13 * np.max(np.abs(row))
         )
 
 
@@ -92,6 +127,18 @@ class TestFieldHistory:
         t = 0.5 * (hist.times[3] + hist.times[4])
         expected = 0.5 * (hist.E[3] + hist.E[4])
         np.testing.assert_allclose(hist.sample(float(t), hist.grid.nodes), expected, atol=1e-12)
+
+    def test_off_node_time_blends_node_interpolants(self):
+        rng = np.random.default_rng(4)
+        E = rng.normal(size=(9, 10))
+        hist = FieldHistory(
+            times=np.linspace(0.0, 2.0, 9), grid=SpatialGrid(10), Ebar=E, Etilde=np.zeros_like(E)
+        )
+        x = rng.uniform(-20, 20, 200)
+        i, th = 3, 0.3
+        t = float(hist.times[i] + th * hist.dt)
+        expected = (1 - th) * _interp(hist.E[i], x) + th * _interp(hist.E[i + 1], x)
+        np.testing.assert_allclose(hist.sample(t, x), expected, rtol=0, atol=1e-14)
 
     def test_before_start_raises(self):
         hist = _cosine_history(t0=0.5)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vpme_scatter import asymptotic, cli, diagnostics, scheme
 from vpme_scatter.cli import main, resolve_out_dir
 from vpme_scatter.config import (
     RunConfig,
@@ -162,6 +163,19 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(out2)]) == 0
         for name in ("fields.csv", "density.csv", "norm_trace.csv", "summary.txt"):
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_validates_the_datum_once(self, finished_run, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(datum):
+            calls.append(datum)
+            return asymptotic.validate_class_membership(datum)
+
+        for module in (cli, scheme, diagnostics):
+            monkeypatch.setattr(module, "validate_class_membership", counting)
+        cfg, _, _ = finished_run
+        assert main(["run", str(cfg), "--out", str(tmp_path / "once")]) == 0
+        assert len(calls) == 1
 
     def test_theorem_mode_refuses_inadmissible_datum(self, finished_run, tmp_path, capsys):
         cfg, _, _ = finished_run
