@@ -4,8 +4,12 @@ The linear potential is the convolution Ubar = W * rho with the periodic
 kernel W(x) = (x^2 - |x|)/2, computed spectrally (the source's zero mode is
 dropped; the mean of Ubar is fixed by the kernel's own mean -1/12).  The
 nonlinear correction solves d^2 Utilde / dx^2 = exp(Ubar + Utilde) - 1 by
-damped Newton on the periodic central-difference operator, with the linear
-step handled by a cyclic tridiagonal solve.
+damped Newton on the periodic central-difference operator.  Each Newton
+step solves the cyclic tridiagonal Jacobian system: Sherman-Morrison turns it
+into one tridiagonal elimination with two right-hand sides, done by
+vectorized cyclic reduction down to a sequential Thomas sweep on at most 64
+unknowns.  Newton stops at the residual tolerance, or when the line search
+stalls at the round-off floor of the 1/h^2 operator.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .errors import (
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -143,38 +148,93 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_ul, corner_lr, rhs):
     """Solve a cyclic tridiagonal system.
 
     sub/diag/sup are the three bands (sub[0] and sup[-1] unused), corner_ul is
-    A[0, n-1] and corner_lr is A[n-1, 0].  Sherman-Morrison reduction to two
-    plain Thomas solves.
+    A[0, n-1] and corner_lr is A[n-1, 0].  Sherman-Morrison reduces it to a
+    plain tridiagonal matrix with two right-hand sides, rhs and the rank-one
+    vector, both eliminated in one pass by cyclic reduction (`_tridiagonal`).
+    Like the Thomas algorithm it needs no pivoting when the matrix is strictly
+    diagonally dominant.
     """
     n = diag.size
     gamma = -diag[0]
-    d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= corner_ul * corner_lr / gamma
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = corner_lr
-    x = _thomas(sub, d, sup, rhs)
-    z = _thomas(sub, d, sup, u)
+    a = np.array(sub, dtype=float)
+    b = np.array(diag, dtype=float)
+    c = np.array(sup, dtype=float)
+    a[0] = 0.0
+    c[-1] = 0.0
+    b[0] -= gamma
+    b[-1] -= corner_ul * corner_lr / gamma
+    d = np.zeros((2, n))
+    d[0] = rhs
+    d[1, 0] = gamma
+    d[1, -1] = corner_lr
+    x, z = _tridiagonal(a, b, c, d)
     factor = (x[0] + corner_ul * x[-1] / gamma) / (1.0 + z[0] + corner_ul * z[-1] / gamma)
     return x - factor * z
 
 
-def _thomas(sub, diag, sup, rhs):
-    n = diag.size
-    c = np.empty(n)
-    d = np.empty(n)
-    c[0] = sup[0] / diag[0]
-    d[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - sub[i] * c[i - 1]
-        c[i] = sup[i] / denom if i < n - 1 else 0.0
-        d[i] = (rhs[i] - sub[i] * d[i - 1]) / denom
-    x = np.empty(n)
-    x[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
+# Below this many unknowns the sequential sweep beats another level of
+# reduction (the measured crossover of numpy call overhead against a loop).
+_BASE_SIZE = 64
+
+
+def _tridiagonal(a, b, c, d):
+    """Solve the tridiagonal system (a, b, c) for every row of d, shape (k, n).
+
+    a[0] and c[-1] must be zero.  Cyclic (odd-even) reduction: each odd
+    unknown is eliminated from its two even neighbours, the half-size system
+    for the even unknowns is solved recursively, and the odd unknowns follow
+    from their own equations.  Odd n is padded with one identity row.
+    """
+    n = b.size
+    if n <= _BASE_SIZE:
+        return _thomas(a, b, c, d)
+    if n % 2:
+        a = np.append(a, 0.0)
+        b = np.append(b, 1.0)
+        c = np.append(c, 0.0)
+        d = np.concatenate((d, np.zeros((d.shape[0], 1))), axis=1)
+    # Odd equations scaled to unit diagonal: x_o = do - ao x_e[m] - co x_e[m+1].
+    inv = 1.0 / b[1::2]
+    ao = a[1::2] * inv
+    co = c[1::2] * inv
+    do = d[:, 1::2] * inv
+    ae, be, ce, de = a[0::2], b[0::2], c[0::2], d[:, 0::2]
+    a2 = np.zeros_like(ae)
+    a2[1:] = -ae[1:] * ao[:-1]
+    c2 = -ce * co
+    b2 = be - ce * ao
+    b2[1:] -= ae[1:] * co[:-1]
+    d2 = de - ce * do
+    d2[:, 1:] -= ae[1:] * do[:, :-1]
+    xe = _tridiagonal(a2, b2, c2, d2)
+    xo = do - ao * xe
+    xo[:, :-1] -= co[:-1] * xe[:, 1:]
+    x = np.empty_like(d)
+    x[:, 0::2] = xe
+    x[:, 1::2] = xo
+    return x[:, :n]
+
+
+def _thomas(a, b, c, d):
+    """Sequential Thomas sweep for every row of d, on Python floats."""
+    a, b, c = a.tolist(), b.tolist(), c.tolist()
+    n = len(b)
+    w = [0.0] * n
+    cp = [0.0] * n
+    prev = 0.0
+    for i in range(n):
+        w[i] = 1.0 / (b[i] - a[i] * prev)
+        prev = cp[i] = c[i] * w[i]
+    out = np.empty((len(d), n))
+    for row, rhs in zip(out, d.tolist()):
+        y = [0.0] * n
+        prev = 0.0
+        for i in range(n):
+            prev = y[i] = (rhs[i] - a[i] * prev) * w[i]
+        for i in range(n - 2, -1, -1):
+            prev = y[i] = y[i] - cp[i] * prev
+        row[:] = y
+    return out
 
 
 def _laplacian(u: np.ndarray, h: float) -> np.ndarray:
@@ -191,14 +251,21 @@ def solve_nonlinear(
 
     The Jacobian L - diag(exp(Ubar + Utilde)) is strictly negative definite,
     so the full step is reliable; damping halves the step until the max-norm
-    residual decreases.  Returns (Utilde, Etilde) with Etilde the spectral
-    derivative of -Utilde.
+    residual decreases.  Newton stops once the max-norm residual is <= tol.
+    When the line search stalls above tol, the iterate is accepted if its
+    residual is within the round-off floor of the 1/h^2 difference operator,
+    4 eps max|Utilde| / h^2 (on fine grids that floor exceeds an absolute
+    tol); otherwise, and when max_iter runs out, SolverDivergenceError is
+    raised.  Returns (Utilde, Etilde) with Etilde the spectral derivative of
+    -Utilde.
     """
     Ubar = np.asarray(Ubar, dtype=float)
     if not np.all(np.isfinite(Ubar)):
         raise DomainError("Ubar must be finite on all nodes")
     n = grid.nx
     h = grid.h
+    inv_h2 = 1.0 / h**2
+    off = np.full(n, inv_h2)
     U = np.zeros(n)
 
     def residual(u):
@@ -206,15 +273,12 @@ def solve_nonlinear(
 
     F = residual(U)
     res = float(np.max(np.abs(F)))
+    stalled = False
     for _ in range(max_iter):
         if res <= tol:
             break
-        w = np.exp(Ubar + U)
-        inv_h2 = 1.0 / h**2
-        sub = np.full(n, inv_h2)
-        sup = np.full(n, inv_h2)
-        diag = -2.0 * inv_h2 - w
-        delta = solve_cyclic_tridiagonal(sub, diag, sup, inv_h2, inv_h2, -F)
+        diag = -2.0 * inv_h2 - np.exp(Ubar + U)
+        delta = solve_cyclic_tridiagonal(off, diag, off, inv_h2, inv_h2, -F)
         lam = 1.0
         while lam > 1e-12:
             trial = U + lam * delta
@@ -225,10 +289,14 @@ def solve_nonlinear(
                 break
             lam /= 2.0
         else:
+            stalled = True
             break
-    if res > tol:
+    floor = 4.0 * _EPS * float(np.max(np.abs(U))) * inv_h2
+    if res > tol and not (stalled and res <= floor):
         raise SolverDivergenceError(
-            f"Newton failed to reach residual {tol:g} (last residual {res:g})", res
+            f"Newton failed to reach residual {tol:g} (last residual {res:g}, "
+            f"round-off floor {floor:g})",
+            res,
         )
     Etilde = -spectral_derivative(U)
     return U, Etilde

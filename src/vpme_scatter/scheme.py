@@ -24,7 +24,7 @@ from .asymptotic import (
     validate_class_membership,
 )
 from .characteristics import DEFAULT_SUBSTEPS, FieldHistory, transport_to_horizon
-from .errors import ParameterError
+from .errors import DomainError, ParameterError, SolverDivergenceError
 from .poisson import NEWTON_TOL, SpatialGrid, make_field_slice
 
 MAX_ITERATIONS = 30
@@ -111,7 +111,7 @@ def field_update(
     for i in range(density.times.size):
         try:
             slices.append(make_field_slice(density.rho[i], grid, newton_tol=newton_tol))
-        except Exception as exc:
+        except (ParameterError, DomainError, SolverDivergenceError) as exc:
             exc.args = (f"slice {i} (t={density.times[i]:g}): {exc}",)
             raise
     return FieldHistory.from_slices(density.times, grid, slices)

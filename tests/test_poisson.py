@@ -8,7 +8,12 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from vpme_scatter.errors import DegenerateRatioError, DomainError, ParameterError
+from vpme_scatter.errors import (
+    DegenerateRatioError,
+    DomainError,
+    ParameterError,
+    SolverDivergenceError,
+)
 from vpme_scatter.poisson import (
     E6,
     SpatialGrid,
@@ -131,7 +136,9 @@ class TestCyclicTridiagonal:
 
     def test_against_dense_solver(self):
         rng = np.random.default_rng(5)
-        for n in (8, 33, 128):
+        # Sizes above 64 reduce down to the sequential base case; 65, 127,
+        # 130, 257 and 1031 meet an odd size on some level and are padded.
+        for n in (8, 33, 128, 65, 127, 130, 257, 1031):
             sub = rng.normal(size=n)
             sup = rng.normal(size=n)
             diag = 6.0 + rng.normal(size=n)  # diagonally dominant
@@ -155,6 +162,49 @@ class TestCyclicTridiagonal:
         x = solve_cyclic_tridiagonal(sub, diag, sup, ul, lr, rhs)
         A = self._dense(sub, diag, sup, ul, lr)
         assert np.max(np.abs(A @ x - rhs)) < 1e-10
+
+    @staticmethod
+    def _thomas_loop(sub, diag, sup, rhs):
+        # The sequential Thomas sweep, element by element on numpy scalars.
+        n = diag.size
+        c = np.empty(n)
+        d = np.empty(n)
+        c[0] = sup[0] / diag[0]
+        d[0] = rhs[0] / diag[0]
+        for i in range(1, n):
+            denom = diag[i] - sub[i] * c[i - 1]
+            c[i] = sup[i] / denom if i < n - 1 else 0.0
+            d[i] = (rhs[i] - sub[i] * d[i - 1]) / denom
+        x = np.empty(n)
+        x[-1] = d[-1]
+        for i in range(n - 2, -1, -1):
+            x[i] = d[i] - c[i] * x[i + 1]
+        return x
+
+    def _loop_reference(self, sub, diag, sup, ul, lr, rhs):
+        # Sherman-Morrison with two separate Thomas solves.
+        gamma = -diag[0]
+        d = diag.copy()
+        d[0] -= gamma
+        d[-1] -= ul * lr / gamma
+        u = np.zeros(diag.size)
+        u[0] = gamma
+        u[-1] = lr
+        x = self._thomas_loop(sub, d, sup, rhs)
+        z = self._thomas_loop(sub, d, sup, u)
+        return x - (x[0] + ul * x[-1] / gamma) / (1.0 + z[0] + ul * z[-1] / gamma) * z
+
+    @pytest.mark.parametrize("nx", [64, 256, 1024, 2048])
+    def test_matches_sequential_loop_on_newton_jacobians(self, nx):
+        rng = np.random.default_rng(nx)
+        inv_h2 = float(nx) ** 2
+        sub = np.full(nx, inv_h2)
+        sup = np.full(nx, inv_h2)
+        diag = -2.0 * inv_h2 - np.exp(rng.normal(size=nx))
+        rhs = rng.normal(size=nx)
+        want = self._loop_reference(sub, diag, sup, inv_h2, inv_h2, rhs)
+        got = solve_cyclic_tridiagonal(sub, diag, sup, inv_h2, inv_h2, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 class TestNonlinearSolve:
@@ -198,6 +248,13 @@ class TestNonlinearSolve:
         with pytest.raises(DomainError):
             solve_nonlinear(bad, grid)
 
+    def test_iteration_limit_above_tol_raises(self):
+        grid = SpatialGrid(64)
+        Ubar = 0.5 * np.cos(2 * np.pi * grid.nodes)
+        with pytest.raises(SolverDivergenceError) as info:
+            solve_nonlinear(Ubar, grid, max_iter=1)
+        assert info.value.residual > 1e-10
+
     def test_grid_refinement_convergence(self):
         # The central-difference solution converges at second order toward
         # a fine-grid reference on the shared coarse nodes.
@@ -240,6 +297,24 @@ class TestBoundsAndStability:
             U1 = c1[0] / 12 + c1[1] * np.cos(2 * np.pi * x) + c1[2] * np.sin(4 * np.pi * x)
             U2 = c2[0] / 12 + c2[1] * np.cos(2 * np.pi * x) + c2[2] * np.sin(4 * np.pi * x)
             assert stability_ratio(U1, U2, grid) <= E6
+
+    def test_stability_ratio_at_fine_grid(self):
+        # At nx=2048 the 1e-10 residual target lies below the round-off floor
+        # of the 1/h^2 operator; the line search stalls just above it and the
+        # iterate is accepted at that floor.
+        grid = SpatialGrid(2048)
+        rng = np.random.default_rng(0)
+        x = grid.nodes
+
+        def density():
+            rho = rng.uniform(0.2, 1.5) * np.ones(grid.nx)
+            for k in (1, 2, 3):
+                rho = rho * (1.0 + rng.uniform(-0.25, 0.25) * np.cos(2 * np.pi * k * x + rng.uniform(0, 2 * np.pi)))
+            return rho
+
+        U1, _ = solve_linear(density(), grid)
+        U2, _ = solve_linear(density(), grid)
+        assert stability_ratio(U1, U2, grid) <= E6
 
     def test_identical_inputs_raise(self):
         grid = SpatialGrid(16)

@@ -15,8 +15,16 @@ from vpme_scatter.asymptotic import (
     make_tabulated_datum,
 )
 from vpme_scatter.characteristics import FieldHistory, PhasePoint
-from vpme_scatter.errors import DomainError, ParameterError
-from vpme_scatter.poisson import SpatialGrid, make_field_slice, spectral_derivative
+from vpme_scatter import scheme
+from vpme_scatter.errors import DomainError, ParameterError, SolverDivergenceError
+from vpme_scatter.poisson import (
+    FieldSlice,
+    SpatialGrid,
+    make_field_slice,
+    solve_linear,
+    solve_nonlinear,
+    spectral_derivative,
+)
 from vpme_scatter.scheme import (
     DensityHistory,
     RunSettings,
@@ -135,6 +143,31 @@ class TestDensityPush:
             times=np.linspace(0, 1, 3), rho=rho, mass=rho.mean(axis=1)
         )
         with pytest.raises(DomainError, match="slice 1"):
+            field_update(dens, grid)
+
+    def test_field_update_keeps_divergence_residual(self, monkeypatch):
+        def one_newton_step(rho, grid, newton_tol):
+            Ubar, Ebar = solve_linear(rho, grid)
+            Utilde, Etilde = solve_nonlinear(Ubar, grid, tol=newton_tol, max_iter=1)
+            return FieldSlice(Ubar=Ubar, Utilde=Utilde, Ebar=Ebar, Etilde=Etilde)
+
+        monkeypatch.setattr(scheme, "make_field_slice", one_newton_step)
+        grid = SpatialGrid(16)
+        rho = np.full((2, 16), 0.5)
+        dens = DensityHistory(times=np.array([0.0, 1.0]), rho=rho, mass=rho.mean(axis=1))
+        with pytest.raises(SolverDivergenceError, match=r"^slice 0 \(t=0\): Newton") as info:
+            field_update(dens, grid)
+        assert info.value.residual > 1e-10
+
+    def test_field_update_leaves_foreign_errors_alone(self, monkeypatch):
+        def broken(rho, grid, newton_tol):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(scheme, "make_field_slice", broken)
+        grid = SpatialGrid(16)
+        rho = np.full((2, 16), 0.5)
+        dens = DensityHistory(times=np.array([0.0, 1.0]), rho=rho, mass=rho.mean(axis=1))
+        with pytest.raises(ZeroDivisionError, match="^boom$"):
             field_update(dens, grid)
 
 
