@@ -193,43 +193,6 @@ class FieldHistory:
         return _eval_cubic((1.0 - th) * self.coef[i] + th * self.coef[i + 1], x)
 
 
-@dataclass(frozen=True)
-class UniformDecayField:
-    """Synthetic spatially uniform field E(t) = amplitude * exp(-rate t).
-
-    Exercises the integrator against the closed-form trajectory; exposes the
-    same sampling surface as FieldHistory.
-    """
-
-    rate: float
-    amplitude: float
-    t_start: float
-    horizon: float
-
-    @property
-    def t0(self) -> float:
-        return self.t_start
-
-    def quiet_time(self, threshold: float | None = None) -> float:
-        return self.horizon
-
-    def sample(self, t: float, x: np.ndarray) -> np.ndarray:
-        if t > self.horizon:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        return np.full_like(
-            np.asarray(x, dtype=float), self.amplitude * math.exp(-self.rate * t)
-        )
-
-    def exact_state(self, t: float, x: float, v: float):
-        """Closed-form (X, V) at time t for the horizon-pinned trajectory."""
-        a, c, T = self.rate, self.amplitude, self.horizon
-        eT = math.exp(-a * T)
-        et = math.exp(-a * t)
-        V = v + c * (eT - et) / a
-        X = x + v * t - c * (T - t) * eT / a + c * (et - eT) / a**2
-        return X, V
-
-
 def _rk4_span(field, t_from: float, t_to: float, X, V, step: float):
     """Advance (X, V) from t_from to t_to with fixed-step RK4; either direction."""
     span = t_to - t_from
@@ -295,11 +258,11 @@ def sample_field(history: FieldHistory, t: float, x) -> float | np.ndarray:
 
 
 def flow_from_label(
-    label: PhaseLabel, history, t: float, substeps: int = DEFAULT_SUBSTEPS
+    label: PhaseLabel, history: FieldHistory, t: float, substeps: int = DEFAULT_SUBSTEPS
 ) -> PhasePoint:
     """(X(t), V(t)) of the trajectory with asymptotic label (x, v)."""
     _check_time(history, t)
-    step = _step_size(history, substeps)
+    step = history.dt / substeps
     X0 = label.x + label.v * history.horizon
     X, V = transport_from_horizon(
         history, t, np.asarray([X0]), np.asarray([label.v]), step
@@ -308,19 +271,13 @@ def flow_from_label(
 
 
 def label_from_point(
-    point: PhasePoint, history, substeps: int = DEFAULT_SUBSTEPS
+    point: PhasePoint, history: FieldHistory, substeps: int = DEFAULT_SUBSTEPS
 ) -> PhaseLabel:
     """Asymptotic label of the trajectory through (x, v) at time t (the inverse flow)."""
     _check_time(history, point.t)
-    step = _step_size(history, substeps)
+    step = history.dt / substeps
     X, V = transport_to_horizon(
         history, point.t, np.asarray([point.x]), np.asarray([point.v]), step
     )
     return PhaseLabel(x=float(X[0] - history.horizon * V[0]), v=float(V[0]))
 
-
-def _step_size(field, substeps: int) -> float:
-    dt = getattr(field, "dt", None)
-    if dt is None:
-        dt = (field.horizon - field.t0) / 100.0
-    return dt / substeps

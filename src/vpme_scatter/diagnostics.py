@@ -3,7 +3,8 @@
 Covers the exponential decay envelope of the field, weak convergence of the
 transported datum to its spatial average, the spatial Lipschitz constant of
 the field, and the weak-instability construction (weak gaps shrink while a
-pointwise probe gap does not).
+pointwise probe gap does not).  The weak gaps and the probe read the
+transported datum through scheme.transported_datum, as the density does.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# eval_f_star and transport_to_horizon stay bound here for perfbench/tracing.py.
 from .asymptotic import (
     AsymptoticDatum,
     ClassParameters,
@@ -23,7 +25,13 @@ from .asymptotic import (
 )
 from .characteristics import DEFAULT_SUBSTEPS, FieldHistory, transport_to_horizon
 from .errors import ParameterError
-from .scheme import RunSettings, SchemeResult, run_iteration, simpson_weights
+from .scheme import (
+    RunSettings,
+    SchemeResult,
+    run_iteration,
+    simpson_weights,
+    transported_datum,
+)
 
 DECAY_FLOOR = 1e-14
 
@@ -114,8 +122,8 @@ def decay_fit(history: FieldHistory, klass: ClassParameters) -> DecayReport:
     )
 
 
-def default_test_set(vmax: float) -> dict[str, callable]:
-    """Low-mode test functions restricted to |v| <= vmax (cut off by the grid)."""
+def default_test_set() -> dict[str, callable]:
+    """Low-mode test functions, cut off at the quadrature's |v| <= vmax."""
     return {
         "one": lambda x, v: np.ones_like(x),
         "cos2pix": lambda x, v: np.cos(2.0 * np.pi * x),
@@ -129,35 +137,30 @@ def weak_convergence_gap(
     datum: AsymptoticDatum,
     history: FieldHistory,
     times,
-    testset: dict[str, callable] | None = None,
     vmax: float = 8.0,
     nv: int = 256,
     substeps: int = DEFAULT_SUBSTEPS,
 ) -> WeakConvergenceReport:
-    """Phase-space quadrature of the transported datum against each test function.
+    """Gaps |<phi, f(t)> - <phi, h>| of the default test functions at each time.
 
-    The gap compares <phi, f(t)> with <phi, h>, h the spatial average of the
+    f(t) is the transported_datum slice and h the spatial average of the
     datum; x uses the trapezoid rule on the periodic grid, v composite Simpson
-    on [-vmax, vmax].
+    on [-vmax, vmax].  Each phi and its <phi, h> are evaluated once on the
+    mesh.
     """
-    if testset is None:
-        testset = default_test_set(vmax)
-    grid = history.grid
-    x = grid.nodes
+    nx = history.grid.nx
     v = np.linspace(-vmax, vmax, nv + 1)
     wv = simpson_weights(nv, v[1] - v[0])
-    X0, V0 = np.meshgrid(x, v)
+    X, V = np.meshgrid(history.grid.nodes, v)
     hv = np.asarray(h_limit(datum, v), dtype=float)
-    step = history.dt / substeps
-    T = history.horizon
+    tests = []
+    for tid, phi in default_test_set().items():
+        pv = phi(X, V)
+        tests.append((tid, pv, float(np.sum(np.mean(pv, axis=1) * hv * wv))))
     entries = []
-    for t in times:
-        XT, VT = transport_to_horizon(history, float(t), X0.ravel(), V0.ravel(), step)
-        fvals = eval_f_star(datum, XT - T * VT, VT).reshape(nv + 1, grid.nx)
-        for tid, phi in testset.items():
-            pv = phi(X0, V0)
-            lhs = float(np.sum(pv * fvals * wv[:, None])) / grid.nx
-            rhs = float(np.sum(np.mean(pv, axis=1) * hv * wv))
+    for t, f in zip(times, transported_datum(datum, history, times, v, substeps)):
+        for tid, pv, rhs in tests:
+            lhs = float(np.sum(pv * f * wv[:, None])) / nx
             entries.append((tid, float(t), abs(lhs - rhs)))
     return WeakConvergenceReport(entries=entries)
 
@@ -173,16 +176,15 @@ def instability_report(
     mu_sigma: float,
     klass: ClassParameters,
     settings: RunSettings,
-    probe_velocity: float = 0.0,
-    gap_times: list[float] | None = None,
 ) -> InstabilityReport:
     """Run the scheme for f* = mu(v)(1 + cos 2 pi x) and probe both convergence modes.
 
     mu is the Gaussian mu(v) = mu_amplitude * g_sigma(v); it must satisfy the
     halved velocity-tail bound |mu| <= a2 / (2 (1 + v^4)), which the doubled
-    profile then meets.  Weak gaps against h = mu should shrink with time
-    while the pointwise gap sup_x |f(t, x, v*) - mu(v*)| stays bounded below:
-    the cosine never relaxes pointwise.
+    profile then meets.  Weak gaps against h = mu at six times spread over
+    the history should shrink with time, while the pointwise gap
+    sup_x |f(T, x, 0) - mu(0)| at the horizon stays bounded below: the cosine
+    never relaxes pointwise.
     """
     if mu_amplitude <= 0.0 or mu_sigma <= 0.0:
         raise ParameterError("mu amplitude and width must be positive")
@@ -193,36 +195,26 @@ def instability_report(
     result = run_iteration(datum, settings, membership)
     history = result.field_history
 
-    if gap_times is None:
-        idx = np.unique(np.linspace(0, history.times.size - 1, 6).astype(int))
-        gap_times = [float(history.times[i]) for i in idx]
+    idx = np.unique(np.linspace(0, history.times.size - 1, 6).astype(int))
     weak = weak_convergence_gap(
         datum,
         history,
-        gap_times,
+        [float(history.times[i]) for i in idx],
         vmax=result.vmax,
         nv=min(settings.nv, 512),
         substeps=settings.ode_substeps,
     )
 
-    # Pointwise probe at the horizon: f(T, x, v*) against mu(v*).
-    T = history.horizon
-    xg = history.grid.nodes
-    XT, VT = transport_to_horizon(
-        history,
-        T,
-        xg,
-        np.full_like(xg, probe_velocity),
-        history.dt / settings.ode_substeps,
+    v_probe = np.zeros(1)  # v* = 0, the InstabilityReport.probe_velocity default
+    (f_probe,) = transported_datum(
+        datum, history, [history.horizon], v_probe, settings.ode_substeps
     )
-    fvals = eval_f_star(datum, XT - T * VT, VT)
-    mu_probe = float(h_limit(datum, np.asarray([probe_velocity]))[0])
-    probe_gap = float(np.max(np.abs(fvals - mu_probe)))
+    mu_probe = float(h_limit(datum, v_probe)[0])
+    probe_gap = float(np.max(np.abs(f_probe - mu_probe)))
 
     return InstabilityReport(
         member=membership.member,
         weak_report=weak,
-        probe_velocity=probe_velocity,
         probe_gap=probe_gap,
         probe_reference=mu_probe,
         scheme=result,

@@ -1,11 +1,11 @@
 """Fixed-point iteration on the electric field.
 
-Starting from the zero field, each sweep transports the phase-space grid of
-every time slice forward to the horizon, evaluates the asymptotic datum at
-the resulting labels, integrates out the velocity (composite Simpson), and
-re-solves the split Poisson problem slice by slice.  Convergence is tracked
-in the exponentially weighted sup norm, whose successive deltas contract
-with factor 1/2 in the theorem regime.
+The solution is f(t, x, v) = f*(label), the label being the free-flight state
+its characteristic reaches at the horizon; transported_datum reads f this way
+on the (x, v) mesh of each time slice.  Each sweep integrates out the velocity
+(composite Simpson) and re-solves the split Poisson problem slice by slice.
+Convergence is tracked in the exponentially weighted sup norm, whose
+successive deltas contract with factor 1/2 in the theorem regime.
 """
 
 from __future__ import annotations
@@ -72,6 +72,28 @@ def simpson_weights(n_intervals: int, h: float) -> np.ndarray:
     return w * h / 3.0
 
 
+def transported_datum(
+    datum: AsymptoticDatum,
+    history: FieldHistory,
+    times,
+    v: np.ndarray,
+    substeps: int = DEFAULT_SUBSTEPS,
+):
+    """Yield the transported datum on the v x grid mesh for each t in times.
+
+    f(t, x, v) = f*(X(T) - T V(T), V(T)), where (X, V) is the characteristic
+    through (x, v) at t, carried to the horizon T with step history.dt /
+    substeps.  The mesh is built once; each slice has shape (v.size, nx).
+    """
+    x = history.grid.nodes
+    X0, V0 = (a.ravel() for a in np.meshgrid(x, v))
+    step = history.dt / substeps
+    T = history.horizon
+    for t in times:
+        XT, VT = transport_to_horizon(history, float(t), X0, V0, step)
+        yield eval_f_star(datum, XT - T * VT, VT).reshape(v.size, x.size)
+
+
 def push_density(
     datum: AsymptoticDatum,
     history: FieldHistory,
@@ -81,23 +103,13 @@ def push_density(
 ) -> DensityHistory:
     """Density of the transported datum on every (time, space) node.
 
-    rho(t_i, x_j) = sum_k w_k f*(label(t_i, x_j, v_k)) over the truncated
-    velocity grid; the labels come from the forward-to-horizon map under the
-    given field iterate.
+    rho(t_i, x_j) = sum_k w_k f(t_i, x_j, v_k), the composite Simpson sum of
+    each transported_datum slice over the truncated velocity grid.
     """
-    grid = history.grid
-    x = grid.nodes
     v = np.linspace(-vmax, vmax, nv + 1)
     w = simpson_weights(nv, v[1] - v[0])
-    X0, V0 = np.meshgrid(x, v)  # (nv+1, nx)
-    step = history.dt / substeps
-    T = history.horizon
-    nt = history.times.size
-    rho = np.empty((nt, grid.nx))
-    for i, t in enumerate(history.times):
-        XT, VT = transport_to_horizon(history, float(t), X0.ravel(), V0.ravel(), step)
-        fstar = eval_f_star(datum, XT - T * VT, VT).reshape(nv + 1, grid.nx)
-        rho[i] = w @ fstar
+    slices = transported_datum(datum, history, history.times, v, substeps)
+    rho = np.array([w @ f for f in slices])
     np.maximum(rho, 0.0, out=rho)  # clip negative round-off from quadrature
     mass = rho.mean(axis=1)
     return DensityHistory(times=history.times, rho=rho, mass=mass)

@@ -4,13 +4,18 @@ Both runs use the gaussian-cosine family at Nx=128, Nv=256, Nt=100.  The
 "theorem" run sits inside the guaranteed-contraction regime (large a, tiny
 amplitude); the "exploratory" run uses order-one parameters where the field
 is numerically visible and contraction is reported rather than guaranteed.
+UniformDecayField, a field with closed-form trajectories, serves the
+integrator tests.
 """
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from vpme_scatter.asymptotic import ClassParameters, make_gaussian_cosine_datum
@@ -27,6 +32,44 @@ EXPLORATORY_SIGMA = 1.0
 THEOREM_KLASS = ClassParameters(a=45.0, a1=2.7, a2=0.01, alpha=0.5, t0=0.0)
 THEOREM_AMPLITUDE = 1e-6
 THEOREM_SIGMA = 16.0
+
+
+@dataclass(frozen=True)
+class UniformDecayField:
+    """Synthetic spatially uniform field E(t) = amplitude * exp(-rate t).
+
+    Exercises the integrator against the closed-form trajectory; exposes the
+    same sampling surface as FieldHistory.
+    """
+
+    rate: float
+    amplitude: float
+    t_start: float
+    horizon: float
+
+    @property
+    def t0(self) -> float:
+        return self.t_start
+
+    def quiet_time(self, threshold: float | None = None) -> float:
+        return self.horizon
+
+    def sample(self, t: float, x: np.ndarray) -> np.ndarray:
+        if t > self.horizon:
+            return np.zeros_like(np.asarray(x, dtype=float))
+        return np.full_like(
+            np.asarray(x, dtype=float), self.amplitude * math.exp(-self.rate * t)
+        )
+
+    def exact_state(self, t: float, x: float, v: float):
+        """Closed-form (X, V) at time t for the horizon-pinned trajectory."""
+        a, c, T = self.rate, self.amplitude, self.horizon
+        eT = math.exp(-a * T)
+        et = math.exp(-a * t)
+        V = v + c * (eT - et) / a
+        X = x + v * t - c * (T - t) * eT / a + c * (et - eT) / a**2
+        return X, V
+
 
 # Wall-clock seconds of the shared reference runs, keyed by run name.
 RUN_SECONDS: dict[str, float] = {}

@@ -16,7 +16,6 @@ import pytest
 from vpme_scatter.asymptotic import datum_mass, make_gaussian_cosine_datum
 from vpme_scatter.characteristics import (
     FieldHistory,
-    UniformDecayField,
     transport_from_horizon,
     transport_to_horizon,
 )
@@ -36,6 +35,7 @@ from conftest import (
     EXPLORATORY_KLASS,
     RUN_SECONDS,
     THEOREM_KLASS,
+    UniformDecayField,
 )
 
 

@@ -12,7 +12,6 @@ from vpme_scatter.characteristics import (
     FieldHistory,
     PhaseLabel,
     PhasePoint,
-    UniformDecayField,
     _cubic_coefficients,
     _eval_cubic,
     _rk4_span,
@@ -24,6 +23,8 @@ from vpme_scatter.characteristics import (
 )
 from vpme_scatter.errors import IntegrationError, OutOfRangeError, ParameterError
 from vpme_scatter.poisson import SpatialGrid
+
+from conftest import UniformDecayField
 
 
 def _cosine_history(nx=64, nt=80, t0=0.0, T=2.0, amp=0.3, rate=1.0):

@@ -215,6 +215,17 @@ class TestOtherCommands:
     def test_decay_report_rejects_unfinished_dir(self, tmp_path):
         assert main(["decay-report", str(tmp_path)]) == 1
 
+    def test_decay_report_rejects_inconsistent_fields(self, finished_run, tmp_path, capsys):
+        _, out, _ = finished_run
+        (tmp_path / "manifest.json").write_bytes((out / "manifest.json").read_bytes())
+        lines = (out / "fields.csv").read_text().splitlines(keepends=True)
+        head, e = lines[5].rsplit(",", 1)
+        lines[5] = f"{head},{float(e) + 1.0!r}\n"
+        (tmp_path / "fields.csv").write_text("".join(lines))
+        assert main(["decay-report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'fields.csv'}: column E differs from Ebar + Etilde" in err
+
     def test_demo_instability(self, tmp_path, capsys):
         cfg = tmp_path / "demo.yaml"
         cfg.write_text(SMALL_RUN)

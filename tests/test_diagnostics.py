@@ -86,7 +86,7 @@ class TestWeakConvergence:
         assert gaps[t2] / gaps[t1] == pytest.approx(predicted, rel=0.05)
 
     def test_default_test_set_members(self):
-        tests = default_test_set(8.0)
+        tests = default_test_set()
         assert set(tests) == {"one", "cos2pix", "sin2pix", "cos2pix_gauss", "v_gauss"}
         x = np.linspace(0, 1, 5)
         v = np.zeros(5)

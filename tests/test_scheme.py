@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from vpme_scatter.asymptotic import (
     datum_mass,
     eval_f_star,
+    fourier_f_star,
     make_gaussian_cosine_datum,
     make_tabulated_datum,
 )
@@ -108,6 +109,31 @@ class TestDensityPush:
                 1.0 + np.cos(2 * np.pi * x) * math.exp(-2 * math.pi**2 * sigma**2 * t**2)
             )
             np.testing.assert_allclose(dens.rho[i], expected, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "sigma, nv, vmax", [(1.0, 256, 8.0), (0.35, 128, 3.11)], ids=["sigma1", "sigma035"]
+    )
+    def test_free_streaming_fourier_oracle(self, sigma, nv, vmax):
+        # Zero field: f(t, x, v) = f*(x - v t, v), so the density's mode k is
+        # fhat*(k, 2 pi k t).  The grids resolve the phase mixing up to T = 3
+        # (nv=64 at sigma=0.35 aliases it: a 3.8e-6 error there).
+        datum = make_gaussian_cosine_datum(0.05, sigma, EXPLORATORY_KLASS)
+        grid = SpatialGrid(64)
+        times = np.linspace(0.7, 3.0, 24)
+        dens = push_density(datum, FieldHistory.zero(times, grid), vmax=vmax, nv=nv)
+        x = grid.nodes
+        expected = np.array(
+            [
+                sum(
+                    fourier_f_star(datum, k, 2 * math.pi * k * t)
+                    * np.exp(2j * math.pi * k * x)
+                    for k in (-1, 0, 1)
+                ).real
+                for t in times
+            ]
+        )
+        err = np.max(np.abs(dens.rho - expected)) / np.max(np.abs(expected))
+        assert err <= 1e-13
 
     def test_first_field_oracle(self):
         # The linear field of rho_1 is (c / 2 pi) sin(2 pi x) e^{-2 pi^2 sigma^2 t^2}.
