@@ -42,9 +42,11 @@ from .scheme import (
     weighted_norm,
 )
 from .diagnostics import (
+    Certificate,
     DecayReport,
     InstabilityReport,
     WeakConvergenceReport,
+    certify,
     decay_fit,
     instability_report,
     lipschitz_estimate,

@@ -100,13 +100,19 @@ class FieldHistory:
     """Time x space samples of the split electric field for one scheme iterate.
 
     Derived on construction, read-only: E = Ebar + Etilde, and coef, the
-    (times, 4, nx) cubic cell coefficients of E that sample evaluates.
+    (times, 4, nx) cubic cell coefficients of E that sample evaluates.  A
+    history assembled from solved slices (from_slices, hence every field_update)
+    also keeps their potentials Ubar and Utilde, read-only, so a converged run
+    can be certified without solving a slice again; a history built from the
+    field alone (zero, or a run's fields.csv) has None there.
     """
 
     times: np.ndarray
     grid: SpatialGrid
     Ebar: np.ndarray
     Etilde: np.ndarray
+    Ubar: np.ndarray | None = None
+    Utilde: np.ndarray | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -116,7 +122,9 @@ class FieldHistory:
         dt = np.diff(times)
         if not np.allclose(dt, dt[0], rtol=1e-9, atol=1e-12):
             raise ParameterError("time grid must be uniform")
-        for name in ("Ebar", "Etilde"):
+        for name in ("Ebar", "Etilde", "Ubar", "Utilde"):
+            if getattr(self, name) is None and name in ("Ubar", "Utilde"):
+                continue  # a history of the field alone
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (times.size, self.grid.nx):
                 raise ParameterError(f"{name} shape {arr.shape} does not match grids")
@@ -139,6 +147,8 @@ class FieldHistory:
             grid=grid,
             Ebar=np.vstack([s.Ebar for s in slices]),
             Etilde=np.vstack([s.Etilde for s in slices]),
+            Ubar=np.vstack([s.Ubar for s in slices]),
+            Utilde=np.vstack([s.Utilde for s in slices]),
         )
 
     @property

@@ -4,9 +4,14 @@ Subcommands: ``validate`` (class-membership report), ``run`` (full scheme plus
 diagnostics), ``demo-instability`` (the weak-instability construction), and
 ``decay-report`` (re-fit the decay envelope of a finished run directory).
 
+``run`` appends the certificate of the paper's guarantees (diagnostics.certify)
+to summary.txt and writes it under ``certificate`` in manifest.json; in theorem
+mode a failing certificate is an error, in exploratory mode it is reported.
+
 Exit codes: 0 success/convergence, 2 iteration cap without convergence,
-1 any error.  All tables use full round-trip decimal precision with a fixed
-column order, so identical configurations reproduce byte-identical files.
+1 any error, including a failing certificate in theorem mode.  All tables use
+full round-trip decimal precision with a fixed column order, so identical
+configurations reproduce byte-identical files.
 """
 
 from __future__ import annotations
@@ -25,7 +30,13 @@ from . import __version__
 from .asymptotic import validate_class_membership
 from .characteristics import FieldHistory
 from .config import RunConfig, build_datum, parse_config, serialize_config
-from .diagnostics import decay_fit, instability_report, lipschitz_estimate, weak_convergence_gap
+from .diagnostics import (
+    certify,
+    decay_fit,
+    instability_report,
+    lipschitz_estimate,
+    weak_convergence_gap,
+)
 from .errors import ConfigError
 from .poisson import SpatialGrid
 from .scheme import RunSettings, SchemeResult, run_iteration
@@ -47,6 +58,7 @@ class RunManifest:
     decay_rate: float = float("nan")
     envelope_pass: bool = False
     contraction_pass: bool | None = None
+    certificate: dict = field(default_factory=dict)
     seed: int = 0
 
 
@@ -138,6 +150,13 @@ def render_summary(result: SchemeResult, reports: dict) -> str:
             lines.append(f"  {tid} t={_fmt(t)}: {_fmt(gap)}")
     if "lipschitz" in reports:
         lines.append(f"lipschitz estimate: {_fmt(reports['lipschitz'])}")
+    cert = reports.get("certificate")
+    if cert is not None:
+        lines.append("certificate")
+        for name, holds, worst in cert.guarantees():
+            value = "" if worst is None else f" (worst {_fmt(worst)})"
+            lines.append(f"  {name}: {'pass' if holds else 'fail'}{value}")
+        lines.append(f"  certificate: {'pass' if cert.passed else 'fail'}")
     return "\n".join(lines) + "\n"
 
 
@@ -156,13 +175,6 @@ def run_command(config: RunConfig, out_dir: Path) -> int:
     datum = build_datum(config)
     report = validate_class_membership(datum)
     manifest.phase_seconds["validate"] = time.perf_counter() - t_start
-    if config.mode == "theorem" and not report.admissible:
-        print(
-            "datum fails class membership / theorem-regime conditions; "
-            "refusing to run in theorem mode",
-            file=sys.stderr,
-        )
-        return 1
 
     t_phase = time.perf_counter()
     result = run_iteration(datum, config.settings, report)
@@ -181,10 +193,12 @@ def run_command(config: RunConfig, out_dir: Path) -> int:
         substeps=config.settings.ode_substeps,
     )
     lip = lipschitz_estimate(history)
+    cert = certify(result, datum, decay)
     manifest.phase_seconds["diagnostics"] = time.perf_counter() - t_phase
 
     t_phase = time.perf_counter()
-    emit_outputs(result, {"decay": decay, "weak": weak, "lipschitz": lip}, out_dir)
+    reports = {"decay": decay, "weak": weak, "lipschitz": lip, "certificate": cert}
+    emit_outputs(result, reports, out_dir)
     manifest.phase_seconds["emit"] = time.perf_counter() - t_phase
 
     manifest.converged = result.converged
@@ -193,13 +207,16 @@ def run_command(config: RunConfig, out_dir: Path) -> int:
     manifest.final_norm = result.norms[-1] if result.norms else float("nan")
     manifest.decay_rate = decay.rate
     manifest.envelope_pass = decay.envelope_pass
-    if result.ratios:
-        manifest.contraction_pass = all(r <= 0.5 for r in result.ratios)
+    if cert.contraction is not None:
+        manifest.contraction_pass = cert.contraction_ok
+    manifest.certificate = {**asdict(cert), "passed": cert.passed, "failures": cert.failures}
     write_manifest(manifest, out_dir)
 
     print(f"run finished: converged={result.converged} iterations={result.iterations}")
-    if manifest.contraction_pass is not None:
-        print(f"contraction <= 0.5: {'pass' if manifest.contraction_pass else 'fail'}")
+    print(f"certificate: {'pass' if cert.passed else 'fail'}")
+    if config.mode == "theorem" and not cert.passed:
+        print(f"certificate fails in theorem mode: {'; '.join(cert.failures)}", file=sys.stderr)
+        return 1
     return 0 if result.converged else 2
 
 

@@ -1,10 +1,14 @@
 """Quantitative checks on converged runs.
 
-Covers the exponential decay envelope of the field, weak convergence of the
-transported datum to its spatial average, the spatial Lipschitz constant of
-the field, and the weak-instability construction (weak gaps shrink while a
-pointwise probe gap does not).  The weak gaps and the probe read the
-transported datum through scheme.transported_datum, as the density does.
+Covers the exponential decay envelope of the field, the certificate of the
+paper's guarantees, weak convergence of the transported datum to its spatial
+average, the spatial Lipschitz constant of the field, and the weak-instability
+construction (weak gaps shrink while a pointwise probe gap does not).
+
+certify is the one check of the guarantees: it reads the run's own arrays
+(norm trace, density, and the potentials the last field update solved) and
+solves nothing again.  The weak gaps and the probe read the transported datum
+through scheme.transported_datum, as the density does.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 from .asymptotic import (
     AsymptoticDatum,
     ClassParameters,
+    datum_mass,
     eval_f_star,
     h_limit,
     make_gaussian_cosine_datum,
@@ -25,6 +30,7 @@ from .asymptotic import (
 )
 from .characteristics import DEFAULT_SUBSTEPS, FieldHistory, transport_to_horizon
 from .errors import ParameterError
+from .poisson import BoundsReport, verify_potential_bounds
 from .scheme import (
     RunSettings,
     SchemeResult,
@@ -34,6 +40,9 @@ from .scheme import (
 )
 
 DECAY_FLOOR = 1e-14
+# Tolerances of the certificate's two conservation checks.
+BOLTZMANN_TOL = 1e-8
+MASS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -47,6 +56,60 @@ class DecayReport:
     envelope_pass: bool
     degenerate: bool
     fitted_nodes: int
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """The paper's guarantees on one run: worst measured values and the envelope flag.
+
+    contraction is the worst ratio of successive weighted deltas (None before
+    a second sweep), weighted_norm the worst weighted field norm, norm_bound
+    16 a1; bounds holds the worst Utilde norms over all slices, boltzmann the
+    worst |mean e^{Ubar+Utilde} - 1| and mass_drift the worst |mass - datum
+    mass| over the slices.
+    """
+
+    envelope_pass: bool
+    contraction: float | None
+    weighted_norm: float
+    norm_bound: float
+    bounds: BoundsReport
+    boltzmann: float
+    mass_drift: float
+
+    @property
+    def contraction_ok(self) -> bool:
+        return self.contraction is None or self.contraction <= 0.5
+
+    @property
+    def norm_ok(self) -> bool:
+        return self.weighted_norm <= self.norm_bound
+
+    def guarantees(self) -> list[tuple[str, bool, float | None]]:
+        """(guarantee, holds, worst measured value) in report order."""
+        b = self.bounds
+        return [
+            ("envelope 16 a1 e^{-at}", self.envelope_pass, None),
+            ("contraction ratio <= 1/2", self.contraction_ok, self.contraction),
+            (f"weighted norm <= 16 a1 = {self.norm_bound!r}", self.norm_ok, self.weighted_norm),
+            ("|Utilde| <= 3", b.utilde_ok, b.utilde_inf),
+            ("|d_x Utilde| <= 2", b.dutilde_ok, b.dutilde_inf),
+            ("|d_xx Utilde| <= 3", b.d2utilde_ok, b.d2utilde_inf),
+            (
+                f"|mean e^(Ubar+Utilde) - 1| <= {BOLTZMANN_TOL!r}",
+                self.boltzmann <= BOLTZMANN_TOL,
+                self.boltzmann,
+            ),
+            (f"mass drift <= {MASS_TOL!r}", self.mass_drift <= MASS_TOL, self.mass_drift),
+        ]
+
+    @property
+    def failures(self) -> list[str]:
+        return [name for name, holds, _ in self.guarantees() if not holds]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -119,6 +182,30 @@ def decay_fit(history: FieldHistory, klass: ClassParameters) -> DecayReport:
         envelope_pass=envelope_pass,
         degenerate=False,
         fitted_nodes=int(mask.sum()),
+    )
+
+
+def certify(result: SchemeResult, datum: AsymptoticDatum, decay: DecayReport) -> Certificate:
+    """Certificate of a finished run, read from its own arrays without a solve.
+
+    The Utilde bounds and the Boltzmann integral come from the potentials the
+    last field update kept on result.field_history, mass drift from the last
+    density against datum_mass, the envelope flag from decay (the run's own
+    decay_fit), contraction and the norm bound 16 a1 from the norm trace.
+    """
+    history = result.field_history
+    if history.Ubar is None:
+        raise ParameterError("certify needs a run whose field history keeps its potentials")
+    boltzmann = np.abs(np.mean(np.exp(history.Ubar + history.Utilde), axis=1) - 1.0)
+    mass = result.density_history.mass
+    return Certificate(
+        envelope_pass=decay.envelope_pass,
+        contraction=float(np.max(result.ratios)) if result.ratios else None,
+        weighted_norm=float(np.max(result.norms)),
+        norm_bound=16.0 * datum.klass.a1,
+        bounds=verify_potential_bounds(history),
+        boltzmann=float(np.max(boltzmann)),
+        mass_drift=float(np.max(np.abs(mass - datum_mass(datum)))),
     )
 
 

@@ -315,7 +315,9 @@ def verify_potential_bounds(slice_: FieldSlice) -> BoundsReport:
     """Max-norms of Utilde, dUtilde/dx, d2Utilde/dx2 with pass flags.
 
     The second derivative is taken from the solved equation itself,
-    exp(Ubar + Utilde) - 1, which is exact at convergence.
+    exp(Ubar + Utilde) - 1, which is exact at convergence.  The norms reduce
+    over every axis, so a FieldHistory that keeps its solved potentials gives
+    the worst over all its slices.
     """
     du = -slice_.Etilde
     d2u = np.exp(slice_.Ubar + slice_.Utilde) - 1.0

@@ -3,9 +3,11 @@
 The solution is f(t, x, v) = f*(label), the label being the free-flight state
 its characteristic reaches at the horizon; transported_datum reads f this way
 on the (x, v) mesh of each time slice.  Each sweep integrates out the velocity
-(composite Simpson) and re-solves the split Poisson problem slice by slice.
-Convergence is tracked in the exponentially weighted sup norm, whose
-successive deltas contract with factor 1/2 in the theorem regime.
+(composite Simpson) and re-solves the split Poisson problem slice by slice;
+the field history of a sweep keeps the potentials it solved, so the run's
+final history carries the slices that diagnostics.certify reads.  Convergence
+is tracked in the exponentially weighted sup norm, whose successive deltas
+contract with factor 1/2 in the theorem regime.
 """
 
 from __future__ import annotations
@@ -118,7 +120,10 @@ def push_density(
 def field_update(
     density: DensityHistory, grid: SpatialGrid, newton_tol: float = NEWTON_TOL
 ) -> FieldHistory:
-    """Solve the split Poisson problem on every slice and assemble the new field."""
+    """Solve the split Poisson problem on every slice and assemble the new field.
+
+    The history keeps each slice's Ubar and Utilde beside the field.
+    """
     slices = []
     for i in range(density.times.size):
         try:

@@ -4,6 +4,7 @@ Both runs use the gaussian-cosine family at Nx=128, Nv=256, Nt=100.  The
 "theorem" run sits inside the guaranteed-contraction regime (large a, tiny
 amplitude); the "exploratory" run uses order-one parameters where the field
 is numerically visible and contraction is reported rather than guaranteed.
+Each run's certificate is read from its own solved slices.
 UniformDecayField, a field with closed-form trajectories, serves the
 integrator tests.
 """
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from vpme_scatter.asymptotic import ClassParameters, make_gaussian_cosine_datum
-from vpme_scatter.diagnostics import instability_report
+from vpme_scatter.diagnostics import certify, decay_fit, instability_report
 from vpme_scatter.scheme import RunSettings, default_horizon, run_iteration
 
 # Order-one parameters: visible field, outside the contraction-guarantee regime.
@@ -115,6 +116,18 @@ def theorem_run(theorem_datum, theorem_settings):
     result = run_iteration(theorem_datum, theorem_settings)
     RUN_SECONDS["theorem"] = time.perf_counter() - start
     return result
+
+
+@pytest.fixture(scope="session")
+def exploratory_certificate(exploratory_run, exploratory_datum):
+    decay = decay_fit(exploratory_run.field_history, EXPLORATORY_KLASS)
+    return certify(exploratory_run, exploratory_datum, decay)
+
+
+@pytest.fixture(scope="session")
+def theorem_certificate(theorem_run, theorem_datum):
+    decay = decay_fit(theorem_run.field_history, THEOREM_KLASS)
+    return certify(theorem_run, theorem_datum, decay)
 
 
 @pytest.fixture(scope="session")

@@ -27,14 +27,12 @@ from vpme_scatter.poisson import (
     solve_linear,
     solve_nonlinear,
     stability_ratio,
-    verify_potential_bounds,
 )
 from vpme_scatter.scheme import field_update, push_density, weighted_norm
 
 from conftest import (
     EXPLORATORY_KLASS,
     RUN_SECONDS,
-    THEOREM_KLASS,
     UniformDecayField,
 )
 
@@ -169,18 +167,14 @@ def test_criterion_4_stability_bound():
     )
 
 
-def test_criterion_5_potential_bounds(exploratory_run, theorem_run):
+def test_criterion_5_potential_bounds(exploratory_certificate, theorem_certificate):
     """||Utilde|| <= 3, ||dUtilde|| <= 2, ||d2Utilde|| <= 3 on every slice of both runs."""
-    worst = {"utilde_inf": 0.0, "dutilde_inf": 0.0, "d2utilde_inf": 0.0}
-    all_ok = True
-    for run in (exploratory_run, theorem_run):
-        dens = run.density_history
-        grid = run.field_history.grid
-        for i in range(dens.times.size):
-            report = verify_potential_bounds(make_field_slice(dens.rho[i], grid))
-            all_ok = all_ok and report.all_ok
-            for key in worst:
-                worst[key] = max(worst[key], getattr(report, key))
+    reports = [c.bounds for c in (exploratory_certificate, theorem_certificate)]
+    all_ok = all(r.all_ok for r in reports)
+    worst = {
+        key: max(getattr(r, key) for r in reports)
+        for key in ("utilde_inf", "dutilde_inf", "d2utilde_inf")
+    }
     _verdict(
         5,
         all_ok,
@@ -190,11 +184,11 @@ def test_criterion_5_potential_bounds(exploratory_run, theorem_run):
     )
 
 
-def test_criterion_6_contraction(exploratory_run, theorem_run):
+def test_criterion_6_contraction(exploratory_run, theorem_run, theorem_certificate):
     """Theorem-regime ratios <= 1/2 and norms <= 16 a1; exploratory convergence."""
-    t_ratios_ok = all(r <= 0.5 for r in theorem_run.ratios)
-    bound = 16.0 * THEOREM_KLASS.a1
-    t_norms_ok = all(n <= bound for n in theorem_run.norms)
+    t_ratios_ok = theorem_certificate.contraction_ok
+    bound = theorem_certificate.norm_bound
+    t_norms_ok = theorem_certificate.norm_ok
     e_ok = exploratory_run.converged and exploratory_run.deltas[-1] <= 1e-9
     e_iters_ok = exploratory_run.iterations <= 30
     elapsed = RUN_SECONDS["exploratory"] + RUN_SECONDS["theorem"]
@@ -240,21 +234,12 @@ def test_criterion_7_flow_roundtrips(exploratory_run, exploratory_settings):
 
 
 def test_criterion_8_conservation(
-    exploratory_run, theorem_run, exploratory_datum, theorem_datum
+    exploratory_run, exploratory_datum, exploratory_certificate, theorem_certificate
 ):
     """Mass constant per slice and across iterations; unit Boltzmann integral."""
-    worst_mass = 0.0
-    worst_boltz = 0.0
-    for run, datum in ((exploratory_run, exploratory_datum), (theorem_run, theorem_datum)):
-        dens = run.density_history
-        c = datum_mass(datum)
-        worst_mass = max(worst_mass, float(np.max(np.abs(dens.mass - c))))
-        grid = run.field_history.grid
-        for i in range(dens.times.size):
-            s = make_field_slice(dens.rho[i], grid)
-            worst_boltz = max(
-                worst_boltz, abs(float(np.mean(np.exp(s.Ubar + s.Utilde))) - 1.0)
-            )
+    certificates = (exploratory_certificate, theorem_certificate)
+    worst_mass = max(c.mass_drift for c in certificates)
+    worst_boltz = max(c.boltzmann for c in certificates)
     # Across iterations: the first iterate (zero field) must carry the same mass.
     grid = exploratory_run.field_history.grid
     first = push_density(

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -181,9 +182,61 @@ class TestRunCommand:
         cfg, _, _ = finished_run
         code = main(["run", str(cfg), "--mode", "theorem", "--out", str(tmp_path / "x")])
         assert code == 1
+        assert "theorem-regime" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 1
+
+    def test_certificate_in_summary_and_manifest(self, finished_run):
+        _, out, _ = finished_run
+        summary = (out / "summary.txt").read_text()
+        section = summary[summary.index("certificate\n"):].splitlines()
+        assert section[1] == "  envelope 16 a1 e^{-at}: pass"
+        assert section[-1] == "  certificate: pass"
+        cert = json.loads((out / "manifest.json").read_text())["certificate"]
+        assert cert["passed"] is True and cert["failures"] == []
+        assert set(cert["bounds"]) == {"utilde_inf", "dutilde_inf", "d2utilde_inf"}
+        assert cert["norm_bound"] == 16.0 * 2.7
+
+    def test_exploratory_mode_reports_a_failing_certificate(
+        self, finished_run, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "decay_fit", _envelope_failing_decay_fit)
+        cfg, _, _ = finished_run
+        assert main(["run", str(cfg), "--out", str(tmp_path / "fail")]) == 0
+        assert "certificate: fail" in capsys.readouterr().out
+        cert = json.loads((tmp_path / "fail" / "manifest.json").read_text())["certificate"]
+        assert cert["failures"] == ["envelope 16 a1 e^{-at}"]
+
+
+def _envelope_failing_decay_fit(history, klass):
+    return replace(diagnostics.decay_fit(history, klass), envelope_pass=False)
+
+
+THEOREM_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "theorem.yaml"
+
+
+class TestTheoremModeCertificate:
+    def test_theorem_config_passes(self, tmp_path, capsys):
+        assert main(["run", str(THEOREM_CONFIG), "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["certificate"]["passed"] is True
+        assert manifest["contraction_pass"] is True
+        assert capsys.readouterr().err == ""
+
+    def test_failing_certificate_exits_1_and_names_the_guarantee(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "decay_fit", _envelope_failing_decay_fit)
+        assert main(["run", str(THEOREM_CONFIG), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "certificate fails in theorem mode: envelope 16 a1 e^{-at}" in err
+        # The tables are still written, and the manifest records the failure.
+        for name in ("fields.csv", "density.csv", "norm_trace.csv", "summary.txt"):
+            assert (tmp_path / name).is_file()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["certificate"]["passed"] is False
+        assert manifest["envelope_pass"] is False
 
 
 class TestOtherCommands:

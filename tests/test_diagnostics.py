@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from vpme_scatter.asymptotic import make_gaussian_cosine_datum
+from dataclasses import replace
+
+from vpme_scatter import poisson, scheme
+from vpme_scatter.asymptotic import datum_mass, make_gaussian_cosine_datum
 from vpme_scatter.characteristics import FieldHistory
 from vpme_scatter.diagnostics import (
+    certify,
     decay_fit,
     default_test_set,
     instability_report,
@@ -15,7 +19,7 @@ from vpme_scatter.diagnostics import (
     weak_convergence_gap,
 )
 from vpme_scatter.errors import ParameterError
-from vpme_scatter.poisson import SpatialGrid
+from vpme_scatter.poisson import SpatialGrid, make_field_slice, verify_potential_bounds
 from vpme_scatter.scheme import RunSettings
 
 from conftest import EXPLORATORY_KLASS
@@ -57,6 +61,67 @@ class TestDecayFit:
         # sup drops below the floor near t = 32/6; later nodes must not be fit.
         assert report.fitted_nodes < hist.times.size
         assert report.rate == pytest.approx(6.0, rel=0.01)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("run_name", ["exploratory", "theorem"])
+    def test_equals_per_slice_resolve(self, request, run_name):
+        # The stored potentials are the solved slices, so the certificate is
+        # bit for bit what solving every slice of the last density again gives.
+        run = request.getfixturevalue(f"{run_name}_run")
+        datum = request.getfixturevalue(f"{run_name}_datum")
+        cert = request.getfixturevalue(f"{run_name}_certificate")
+        hist = run.field_history
+        worst = {"utilde_inf": 0.0, "dutilde_inf": 0.0, "d2utilde_inf": 0.0}
+        boltzmann = 0.0
+        for i, rho in enumerate(run.density_history.rho):
+            s = make_field_slice(rho, hist.grid)
+            assert np.array_equal(s.Ubar, hist.Ubar[i])
+            assert np.array_equal(s.Utilde, hist.Utilde[i])
+            report = verify_potential_bounds(s)
+            for key in worst:
+                worst[key] = max(worst[key], getattr(report, key))
+            boltzmann = max(boltzmann, abs(float(np.mean(np.exp(s.Ubar + s.Utilde))) - 1.0))
+        assert {key: getattr(cert.bounds, key) for key in worst} == worst
+        assert cert.boltzmann == boltzmann
+        mass = run.density_history.mass
+        assert cert.mass_drift == float(np.max(np.abs(mass - datum_mass(datum))))
+        assert cert.contraction == max(run.ratios)
+        assert cert.weighted_norm == max(run.norms)
+        assert cert.norm_bound == 16.0 * datum.klass.a1
+
+    def test_solves_no_slice(self, monkeypatch, theorem_run, theorem_datum):
+        calls = []
+
+        def forbidden(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("certify solved a slice")
+
+        for module, name in (
+            (poisson, "make_field_slice"),
+            (poisson, "solve_nonlinear"),
+            (scheme, "make_field_slice"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        decay = decay_fit(theorem_run.field_history, theorem_datum.klass)
+        cert = certify(theorem_run, theorem_datum, decay)
+        assert calls == []
+        assert cert.passed and cert.failures == []
+
+    def test_names_each_failing_guarantee(self, theorem_run, theorem_datum):
+        decay = decay_fit(theorem_run.field_history, theorem_datum.klass)
+        failing = certify(theorem_run, theorem_datum, replace(decay, envelope_pass=False))
+        assert failing.failures == ["envelope 16 a1 e^{-at}"]
+        assert not failing.passed
+        names = [name for name, _, _ in failing.guarantees()]
+        assert names[1:3] == ["contraction ratio <= 1/2", "weighted norm <= 16 a1 = 43.2"]
+
+    def test_needs_the_solved_potentials(self, theorem_run, theorem_datum):
+        hist = theorem_run.field_history
+        bare = FieldHistory(times=hist.times, grid=hist.grid, Ebar=hist.Ebar, Etilde=hist.Etilde)
+        decay = decay_fit(bare, theorem_datum.klass)
+        with pytest.raises(ParameterError, match="potentials"):
+            certify(replace(theorem_run, field_history=bare), theorem_datum, decay)
 
 
 class TestWeakConvergence:
