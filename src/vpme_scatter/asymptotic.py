@@ -217,8 +217,13 @@ def load_tabulated_grid(path, klass: ClassParameters) -> AsymptoticDatum:
 
 
 def eval_f_star(datum: AsymptoticDatum, x, v):
-    """Pointwise value of f*; x is interpreted mod 1. Vectorized over arrays."""
-    x = np.mod(np.asarray(x, dtype=float), 1.0)
+    """Pointwise value of f*; x is interpreted mod 1. Vectorized over arrays.
+
+    x - floor(x) rounds the same exact value once as np.mod(x, 1.0), so it
+    gives the same bits, without np.mod's many times slower remainder.
+    """
+    x = np.asarray(x, dtype=float)
+    x = x - np.floor(x)
     v = np.asarray(v, dtype=float)
     if datum.family == "gaussian-cosine":
         return datum.amplitude * _gaussian(v, datum.sigma) * (1.0 + np.cos(2.0 * np.pi * x))

@@ -139,6 +139,10 @@ def render_summary(result: SchemeResult, reports: dict) -> str:
         if decay.degenerate:
             lines.append("  degenerate: field numerically zero (no fit)")
         else:
+            lines.append(
+                f"  window: t in [{_fmt(decay.fit_start)}, {_fmt(decay.fit_end)}]"
+                f" ({decay.fitted_nodes} nodes)"
+            )
             lines.append(f"  rate: {_fmt(decay.rate)}")
             lines.append(f"  prefactor: {_fmt(decay.prefactor)}")
             lines.append(f"  r_squared: {_fmt(decay.r_squared)}")
@@ -287,6 +291,10 @@ def decay_report_command(run_dir: Path) -> int:
     if report.degenerate:
         print("degenerate: field numerically zero at every node")
     else:
+        print(
+            f"fitted window: t in [{_fmt(report.fit_start)}, {_fmt(report.fit_end)}]"
+            f" ({report.fitted_nodes} nodes)"
+        )
         print(f"fitted rate: {_fmt(report.rate)}")
         print(f"fitted prefactor: {_fmt(report.prefactor)}")
         print(f"r_squared: {_fmt(report.r_squared)}")

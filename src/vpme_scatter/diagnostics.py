@@ -47,7 +47,11 @@ MASS_TOL = 1e-6
 
 @dataclass(frozen=True)
 class DecayReport:
-    """Least-squares exponential fit of the field envelope and the 16 a1 check."""
+    """Least-squares exponential fit of the field envelope and the 16 a1 check.
+
+    fit_start and fit_end are the first and last fitted times (NaN with no
+    fit): prefactor and rate describe the field over that window only.
+    """
 
     prefactor: float
     rate: float
@@ -56,6 +60,8 @@ class DecayReport:
     envelope_pass: bool
     degenerate: bool
     fitted_nodes: int
+    fit_start: float
+    fit_end: float
 
 
 @dataclass(frozen=True)
@@ -148,6 +154,7 @@ class InstabilityReport:
 def decay_fit(history: FieldHistory, klass: ClassParameters) -> DecayReport:
     """Fit log sup_x |E(t)| by a line over the nodes above the noise floor.
 
+    The report names the fitted window, from the first to the last such node.
     Also checks the theorem envelope sup_x |E(t)| <= 16 a1 e^{-a t} at every
     node.  A field that is numerically zero everywhere yields a degenerate
     report with no fit.
@@ -165,6 +172,8 @@ def decay_fit(history: FieldHistory, klass: ClassParameters) -> DecayReport:
             envelope_pass=envelope_pass,
             degenerate=True,
             fitted_nodes=int(mask.sum()),
+            fit_start=float("nan"),
+            fit_end=float("nan"),
         )
     t = history.times[mask]
     y = np.log(sup[mask])
@@ -182,6 +191,8 @@ def decay_fit(history: FieldHistory, klass: ClassParameters) -> DecayReport:
         envelope_pass=envelope_pass,
         degenerate=False,
         fitted_nodes=int(mask.sum()),
+        fit_start=float(t[0]),
+        fit_end=float(t[-1]),
     )
 
 

@@ -5,8 +5,8 @@ Both runs use the gaussian-cosine family at Nx=128, Nv=256, Nt=100.  The
 amplitude); the "exploratory" run uses order-one parameters where the field
 is numerically visible and contraction is reported rather than guaranteed.
 Each run's certificate is read from its own solved slices.
-UniformDecayField, a field with closed-form trajectories, serves the
-integrator tests.
+UniformDecayField, a field with closed-form trajectories, and SineDecayField,
+a closed-form field that depends on x, serve the integrator tests.
 """
 
 from __future__ import annotations
@@ -70,6 +70,37 @@ class UniformDecayField:
         V = v + c * (eT - et) / a
         X = x + v * t - c * (T - t) * eT / a + c * (et - eT) / a**2
         return X, V
+
+
+@dataclass(frozen=True)
+class SineDecayField:
+    """Synthetic field E(t, x) = amplitude e^{-t} sin(2 pi x), zero past the horizon.
+
+    It depends on x, so the position stages of the transport step enter the
+    trajectory; rhs is the first-order system for an ODE solver's reference.
+    Exposes the same sampling surface as FieldHistory.
+    """
+
+    amplitude: float
+    t_start: float
+    horizon: float
+
+    @property
+    def t0(self) -> float:
+        return self.t_start
+
+    def quiet_time(self, threshold: float | None = None) -> float:
+        return self.horizon
+
+    def sample(self, t: float, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if t > self.horizon:
+            return np.zeros_like(x)
+        return self.amplitude * math.exp(-t) * np.sin(2.0 * np.pi * x)
+
+    def rhs(self, t: float, y):
+        """(X, V)' = (V, E(t, X))."""
+        return [y[1], self.amplitude * math.exp(-t) * math.sin(2.0 * math.pi * y[0])]
 
 
 # Wall-clock seconds of the shared reference runs, keyed by run name.

@@ -204,7 +204,7 @@ def test_criterion_6_contraction(exploratory_run, theorem_run, theorem_certifica
 
 
 def test_criterion_7_flow_roundtrips(exploratory_run, exploratory_settings):
-    """Label/point composition on a 32x32 probe grid; RK4 order on the uniform oracle."""
+    """Label/point composition on a 32x32 probe grid; transport order on the uniform oracle."""
     hist = exploratory_run.field_history
     xs = np.arange(32) / 32.0
     vs = np.linspace(-4.0, 4.0, 32)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import zeta
 
+from vpme_scatter import asymptotic
 from vpme_scatter.asymptotic import (
     AsymptoticDatum,
     ClassParameters,
@@ -124,6 +125,41 @@ class TestGaussianCosineFamily:
         datum = make_gaussian_cosine_datum(0.05, 1.0, EXPLORATORY_KLASS)
         val, _ = quad(lambda v: float(h_limit(datum, np.asarray([v]))[0]), -12, 12)
         assert val == pytest.approx(datum_mass(datum), abs=1e-10)
+
+
+def _eval_f_star_np_mod(datum, x, v):
+    """eval_f_star with the position reduced by np.mod, as a reference."""
+    x = np.mod(np.asarray(x, dtype=float), 1.0)
+    v = np.asarray(v, dtype=float)
+    if datum.family == "gaussian-cosine":
+        g = asymptotic._gaussian(v, datum.sigma)
+        return datum.amplitude * g * (1.0 + np.cos(2.0 * np.pi * x))
+    return asymptotic._bilinear(datum, x, v)
+
+
+class TestPeriodicReduction:
+    """x - floor(x) in eval_f_star gives the bits np.mod(x, 1.0) gives."""
+
+    EDGE_POSITIONS = [-1e-17, 1.0 - 1e-17, -2.3, 1e6 + 0.25, 0.0, -0.0, 1.0, -1.0, -3.0]
+
+    @pytest.mark.parametrize("family", ["gaussian-cosine", "tabulated"])
+    def test_matches_np_mod_bit_for_bit(self, family):
+        datum = make_gaussian_cosine_datum(0.05, 1.0, EXPLORATORY_KLASS)
+        if family == "tabulated":
+            x = np.arange(24) / 24.0
+            v = np.linspace(-6.0, 6.0, 97)
+            vals = eval_f_star(datum, x[:, None], v[None, :])
+            datum = make_tabulated_datum(x, v, vals, EXPLORATORY_KLASS)
+        rng = np.random.default_rng(8)
+        x = np.concatenate([rng.uniform(-50.0, 50.0, 2000), self.EDGE_POSITIONS])
+        v = rng.uniform(-5.0, 5.0, x.size)
+        got, ref = eval_f_star(datum, x, v), _eval_f_star_np_mod(datum, x, v)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        for xi, vi in zip(self.EDGE_POSITIONS, v):  # 0-d input
+            got, ref = eval_f_star(datum, np.asarray(xi), vi), _eval_f_star_np_mod(datum, xi, vi)
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+        # The reduction itself, sign of zero included.
+        assert (x - np.floor(x)).tobytes() == np.mod(x, 1.0).tobytes()
 
 
 class TestTabulatedFamily:

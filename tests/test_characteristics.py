@@ -1,4 +1,4 @@
-"""Characteristic flow: field sampling, RK4 transport, horizon pinning."""
+"""Characteristic flow: field sampling, Nystrom transport, horizon pinning."""
 
 import math
 
@@ -14,7 +14,7 @@ from vpme_scatter.characteristics import (
     PhasePoint,
     _cubic_coefficients,
     _eval_cubic,
-    _rk4_span,
+    _nystrom_span,
     flow_from_label,
     label_from_point,
     sample_field,
@@ -24,7 +24,7 @@ from vpme_scatter.characteristics import (
 from vpme_scatter.errors import IntegrationError, OutOfRangeError, ParameterError
 from vpme_scatter.poisson import SpatialGrid
 
-from conftest import UniformDecayField
+from conftest import SineDecayField, UniformDecayField
 
 
 def _cosine_history(nx=64, nt=80, t0=0.0, T=2.0, amp=0.3, rate=1.0):
@@ -36,6 +36,26 @@ def _cosine_history(nx=64, nt=80, t0=0.0, T=2.0, amp=0.3, rate=1.0):
 
 def _interp(row, x):
     return _eval_cubic(_cubic_coefficients(np.asarray(row, dtype=float)), np.asarray(x))
+
+
+def _eval_cubic_modulo(coef, x):
+    """The cubic kernel with the cell index reduced by integer modulo, as a reference."""
+    n = coef.shape[-1]
+    th = x * n
+    j = np.floor(th)
+    th = th - j
+    j = j.astype(np.intp) % n
+    return ((coef[3][j] * th + coef[2][j]) * th + coef[1][j]) * th + coef[0][j]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Unreduced positions where a reduction could go wrong: round-off to the
+# period, negative zero, far windings.
+EDGE_POSITIONS = [-1e-17, 1.0 - 1e-17, -2.3, 1e6 + 0.25, 0.0, -0.0, 1.0, -1.0, 50.999999999]
 
 
 def _lagrange_reference(row, x):
@@ -93,6 +113,17 @@ class TestCubicInterpolation:
         np.testing.assert_allclose(
             _interp(row, x), _lagrange_reference(row, x), rtol=0, atol=1e-13 * np.max(np.abs(row))
         )
+
+    @pytest.mark.parametrize("n", [8, 10, 48, 256])
+    def test_float_cell_reduction_matches_integer_modulo(self, n):
+        rng = np.random.default_rng(n)
+        coef = _cubic_coefficients(rng.normal(size=n))
+        x = np.concatenate([rng.uniform(-50, 50, 2000), EDGE_POSITIONS])
+        assert _same_bits(_eval_cubic(coef, x), _eval_cubic_modulo(coef, x))
+        for xi in EDGE_POSITIONS:  # 0-d input
+            assert _same_bits(
+                _eval_cubic(coef, np.asarray(xi)), _eval_cubic_modulo(coef, np.asarray(xi))
+            )
 
 
 class TestFieldHistory:
@@ -183,7 +214,7 @@ class TestUniformDecayOracle:
         assert sol.y[0, -1] == pytest.approx(Xe, abs=1e-8)
         assert sol.y[1, -1] == pytest.approx(Ve, abs=1e-8)
 
-    def test_rk4_matches_closed_form(self):
+    def test_step_matches_closed_form(self):
         fld = UniformDecayField(rate=2.0, amplitude=0.5, t_start=0.0, horizon=2.0)
         X, V = transport_from_horizon(
             fld, 0.3, np.array([0.1 + 0.7 * 2.0]), np.array([0.7]), 0.005
@@ -192,7 +223,7 @@ class TestUniformDecayOracle:
         assert X[0] == pytest.approx(Xe, abs=1e-9)
         assert V[0] == pytest.approx(Ve, abs=1e-9)
 
-    def test_rk4_fourth_order(self):
+    def test_step_fourth_order(self):
         fld = UniformDecayField(rate=2.0, amplitude=0.5, t_start=0.0, horizon=2.0)
         errs = []
         for step in (0.02, 0.01):
@@ -212,7 +243,35 @@ class TestUniformDecayOracle:
                 return np.full_like(x, np.inf)
 
         with pytest.raises(IntegrationError):
-            _rk4_span(Blowup(), 0.0, 1.0, np.array([0.0]), np.array([0.0]), 0.1)
+            _nystrom_span(Blowup(), 0.0, 1.0, np.array([0.0]), np.array([0.0]), 0.1)
+
+
+class TestSineDecayOracle:
+    """Transport order on a field that depends on x, against a tight ODE solve.
+
+    UniformDecayField does not depend on x, so a wrong position-stage
+    coefficient passes its tests; here it does not.
+    """
+
+    XS = np.array([0.1, 0.35, 0.8])
+    VS = np.array([0.7, -0.4, 1.3])
+
+    def test_step_fourth_order_on_x_dependent_field(self):
+        fld = SineDecayField(amplitude=1.0, t_start=0.0, horizon=2.0)
+        t, T = 0.3, fld.horizon
+        ref = np.array(
+            [
+                solve_ivp(
+                    fld.rhs, (T, t), [x + v * T, v], method="DOP853", rtol=1e-12, atol=1e-14
+                ).y[:, -1]
+                for x, v in zip(self.XS, self.VS)
+            ]
+        )
+        errs = []
+        for step in (0.02, 0.01):
+            X, V = transport_from_horizon(fld, t, self.XS + self.VS * T, self.VS, step)
+            errs.append(np.max(np.abs(X - ref[:, 0]) + np.abs(V - ref[:, 1])))
+        assert 13.0 <= errs[0] / errs[1] <= 19.0
 
 
 class TestTransportMaps:
@@ -236,7 +295,7 @@ class TestTransportMaps:
         step = hist.dt / 4
         XT, VT = transport_to_horizon(hist, 0.0, X, V, step)
         Xb, Vb = transport_from_horizon(hist, 0.0, XT, VT, step)
-        # Forward and backward RK4 are not exact inverses; the defect is a few
+        # Forward and backward steps are not exact inverses; the defect is a few
         # orders below the integration error of either leg.
         assert np.max(np.abs(Xb - X)) < 1e-10
         assert np.max(np.abs(Vb - V)) < 1e-10

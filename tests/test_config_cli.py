@@ -264,6 +264,12 @@ class TestOtherCommands:
         text = capsys.readouterr().out
         assert "fitted rate" in text
         assert "envelope" in text
+        # The window is printed beside the fit, in decay-report and in summary.txt.
+        window = next(line for line in text.splitlines() if line.startswith("fitted window:"))
+        assert window.startswith("fitted window: t in [")
+        summary = (out / "summary.txt").read_text().splitlines()
+        fit = summary[summary.index("decay fit") + 1]
+        assert fit == "  " + window.removeprefix("fitted ")
 
     def test_decay_report_rejects_unfinished_dir(self, tmp_path):
         assert main(["decay-report", str(tmp_path)]) == 1

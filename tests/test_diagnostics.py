@@ -47,6 +47,7 @@ class TestDecayFit:
         report = decay_fit(hist, EXPLORATORY_KLASS)
         assert report.degenerate
         assert math.isnan(report.rate)
+        assert math.isnan(report.fit_start) and math.isnan(report.fit_end)
 
     def test_envelope_flag(self):
         # amp below 16 a1 passes; a field above the envelope at t=0 fails.
@@ -61,6 +62,10 @@ class TestDecayFit:
         # sup drops below the floor near t = 32/6; later nodes must not be fit.
         assert report.fitted_nodes < hist.times.size
         assert report.rate == pytest.approx(6.0, rel=0.01)
+        # The report names the window it fits: t = 0 up to the last node above the floor.
+        above = hist.times[np.max(np.abs(hist.E), axis=1) > 1e-14]
+        assert (report.fit_start, report.fit_end) == (0.0, float(above[-1]))
+        assert report.fit_end < hist.horizon
 
 
 class TestCertificate:

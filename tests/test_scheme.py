@@ -15,7 +15,7 @@ from vpme_scatter.asymptotic import (
     make_gaussian_cosine_datum,
     make_tabulated_datum,
 )
-from vpme_scatter.characteristics import FieldHistory, PhasePoint
+from vpme_scatter.characteristics import FieldHistory, PhasePoint, transport_to_horizon
 from vpme_scatter import scheme
 from vpme_scatter.errors import DomainError, ParameterError, SolverDivergenceError
 from vpme_scatter.poisson import (
@@ -210,6 +210,35 @@ class TestDensityPush:
         dens = DensityHistory(times=np.array([0.0, 1.0]), rho=rho, mass=rho.mean(axis=1))
         with pytest.raises(ZeroDivisionError, match="^boom$"):
             field_update(dens, grid)
+
+
+class TestTransportedDatum:
+    @pytest.mark.parametrize("family", ["gaussian-cosine", "tabulated"])
+    def test_blocks_equal_one_whole_mesh_transport(self, family):
+        # 64 x 257 = 16,448 points: two full blocks and a partial one.  The
+        # field falls below the quiet threshold inside the span, so slices
+        # before the quiet time take Nystrom steps and later ones free flight.
+        datum = make_gaussian_cosine_datum(0.05, 1.0, EXPLORATORY_KLASS)
+        if family == "tabulated":
+            xt = np.arange(32) / 32.0
+            vt = np.linspace(-8.0, 8.0, 129)
+            datum = make_tabulated_datum(
+                xt, vt, eval_f_star(datum, xt[:, None], vt[None, :]), EXPLORATORY_KLASS
+            )
+        grid = SpatialGrid(64)
+        times = np.linspace(0.7, 3.0, 24)
+        decay = np.exp(-12.0 * (times - 0.7))
+        E = 0.3 * np.sin(2 * np.pi * grid.nodes)[None, :] * decay[:, None]
+        hist = FieldHistory(times=times, grid=grid, Ebar=E, Etilde=np.zeros_like(E))
+        assert times[0] < hist.quiet_time() < times[-1]
+        v = np.linspace(-6.0, 6.0, 257)
+        assert v.size * grid.nx > 2 * scheme.TRANSPORT_BLOCK
+        X0, V0 = (a.ravel() for a in np.meshgrid(grid.nodes, v))
+        T = hist.horizon
+        for t, f in zip(times, scheme.transported_datum(datum, hist, times, v)):
+            XT, VT = transport_to_horizon(hist, float(t), X0, V0, hist.dt / 4)
+            whole = eval_f_star(datum, XT - T * VT, VT).reshape(v.size, grid.nx)
+            assert np.array_equal(f, whole)
 
 
 class TestRunIteration:
