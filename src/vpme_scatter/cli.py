@@ -7,6 +7,9 @@ diagnostics), ``demo-instability`` (the weak-instability construction), and
 ``run`` appends the certificate of the paper's guarantees (diagnostics.certify)
 to summary.txt and writes it under ``certificate`` in manifest.json; in theorem
 mode a failing certificate is an error, in exploratory mode it is reported.
+What each sweep's density push transported (its quiet time, slices transported
+and reused) goes to summary.txt and under ``stats`` in manifest.json, never
+into the tables.
 
 Exit codes: 0 success/convergence, 2 iteration cap without convergence,
 1 any error, including a failing certificate in theorem mode.  All tables use
@@ -59,6 +62,7 @@ class RunManifest:
     envelope_pass: bool = False
     contraction_pass: bool | None = None
     certificate: dict = field(default_factory=dict)
+    stats: dict = field(default_factory=dict)
     seed: int = 0
 
 
@@ -133,6 +137,11 @@ def render_summary(result: SchemeResult, reports: dict) -> str:
         lines.append(f"  final delta: {_fmt(result.deltas[-1])}")
     for n, r in enumerate(result.ratios, start=1):
         lines.append(f"  contraction ratio {n + 1}/{n}: {_fmt(r)}")
+    for n, sweep in enumerate(result.sweeps, start=1):
+        lines.append(
+            f"  sweep {n}: quiet time {_fmt(sweep.quiet_time)},"
+            f" slices transported {sweep.transported}, reused {sweep.reused}"
+        )
     decay = reports.get("decay")
     if decay is not None:
         lines.append("decay fit")
@@ -214,6 +223,7 @@ def run_command(config: RunConfig, out_dir: Path) -> int:
     if cert.contraction is not None:
         manifest.contraction_pass = cert.contraction_ok
     manifest.certificate = {**asdict(cert), "passed": cert.passed, "failures": cert.failures}
+    manifest.stats = {"sweeps": [asdict(sweep) for sweep in result.sweeps]}
     write_manifest(manifest, out_dir)
 
     print(f"run finished: converged={result.converged} iterations={result.iterations}")

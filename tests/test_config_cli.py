@@ -150,6 +150,22 @@ class TestRunCommand:
         # The embedded config reparses to the run's configuration.
         assert parse_config(manifest["config"]).settings.nx == 32
 
+    def test_sweep_stats_in_summary_and_manifest(self, finished_run):
+        _, out, _ = finished_run
+        manifest = json.loads((out / "manifest.json").read_text())
+        sweeps = manifest["stats"]["sweeps"]
+        assert len(sweeps) == manifest["iterations"]
+        nodes = parse_config(manifest["config"]).settings.nt + 1
+        assert sweeps[0]["transported"] == nodes and sweeps[0]["reused"] == 0
+        assert all(s["transported"] + s["reused"] == nodes for s in sweeps)
+        summary = (out / "summary.txt").read_text().splitlines()
+        for n, s in enumerate(sweeps, start=1):
+            line = (
+                f"  sweep {n}: quiet time {s['quiet_time']!r},"
+                f" slices transported {s['transported']}, reused {s['reused']}"
+            )
+            assert line in summary
+
     def test_tables_parse_and_are_consistent(self, finished_run):
         _, out, _ = finished_run
         raw = np.genfromtxt(out / "fields.csv", delimiter=",", names=True)

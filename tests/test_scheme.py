@@ -212,26 +212,40 @@ class TestDensityPush:
             field_update(dens, grid)
 
 
+def _datum(family: str):
+    """The exploratory gaussian-cosine datum, or its bilinear table on a 32 x 161 grid."""
+    datum = make_gaussian_cosine_datum(0.05, 1.0, EXPLORATORY_KLASS)
+    if family == "tabulated":
+        xt = np.arange(32) / 32.0
+        vt = np.linspace(-10.0, 10.0, 161)
+        datum = make_tabulated_datum(
+            xt, vt, eval_f_star(datum, xt[:, None], vt[None, :]), EXPLORATORY_KLASS
+        )
+    return datum
+
+
+def _quieting_history() -> FieldHistory:
+    """A field that falls below the quiet threshold inside the span.
+
+    Slices before the quiet time take Nystrom steps, later ones free flight.
+    """
+    grid = SpatialGrid(64)
+    times = np.linspace(0.7, 3.0, 24)
+    decay = np.exp(-12.0 * (times - 0.7))
+    E = 0.3 * np.sin(2 * np.pi * grid.nodes)[None, :] * decay[:, None]
+    hist = FieldHistory(times=times, grid=grid, Ebar=E, Etilde=np.zeros_like(E))
+    assert times[0] < hist.quiet_time() < times[-1]
+    return hist
+
+
 class TestTransportedDatum:
     @pytest.mark.parametrize("family", ["gaussian-cosine", "tabulated"])
     def test_blocks_equal_one_whole_mesh_transport(self, family):
-        # 64 x 257 = 16,448 points: two full blocks and a partial one.  The
-        # field falls below the quiet threshold inside the span, so slices
-        # before the quiet time take Nystrom steps and later ones free flight.
-        datum = make_gaussian_cosine_datum(0.05, 1.0, EXPLORATORY_KLASS)
-        if family == "tabulated":
-            xt = np.arange(32) / 32.0
-            vt = np.linspace(-8.0, 8.0, 129)
-            datum = make_tabulated_datum(
-                xt, vt, eval_f_star(datum, xt[:, None], vt[None, :]), EXPLORATORY_KLASS
-            )
-        grid = SpatialGrid(64)
-        times = np.linspace(0.7, 3.0, 24)
-        decay = np.exp(-12.0 * (times - 0.7))
-        E = 0.3 * np.sin(2 * np.pi * grid.nodes)[None, :] * decay[:, None]
-        hist = FieldHistory(times=times, grid=grid, Ebar=E, Etilde=np.zeros_like(E))
-        assert times[0] < hist.quiet_time() < times[-1]
-        v = np.linspace(-6.0, 6.0, 257)
+        # 64 x 513 = 32,832 points: two full blocks and a partial one.
+        datum = _datum(family)
+        hist = _quieting_history()
+        grid, times = hist.grid, hist.times
+        v = np.linspace(-6.0, 6.0, 513)
         assert v.size * grid.nx > 2 * scheme.TRANSPORT_BLOCK
         X0, V0 = (a.ravel() for a in np.meshgrid(grid.nodes, v))
         T = hist.horizon
@@ -239,6 +253,75 @@ class TestTransportedDatum:
             XT, VT = transport_to_horizon(hist, float(t), X0, V0, hist.dt / 4)
             whole = eval_f_star(datum, XT - T * VT, VT).reshape(v.size, grid.nx)
             assert np.array_equal(f, whole)
+
+
+def _run_without_reuse(datum, settings: RunSettings):
+    """run_iteration's loop with every slice of every sweep transported; no stats."""
+    klass = datum.klass
+    grid = SpatialGrid(settings.nx)
+    times = np.linspace(klass.t0, settings.horizon, settings.nt + 1)
+    history = FieldHistory.zero(times, grid)
+    norms, deltas = [], []
+    tol = None
+    for n in range(1, settings.max_iterations + 1):
+        density = push_density(datum, history, settings.vmax, settings.nv, settings.ode_substeps)
+        new_history = field_update(density, grid, newton_tol=settings.newton_tol)
+        norms.append(weighted_norm(new_history, klass.a, klass.t0))
+        deltas.append(weighted_norm_array(times, new_history.E - history.E, klass.a, klass.t0))
+        history = new_history
+        if tol is None:
+            tol = settings.fixed_point_tol * (1.0 + norms[0])
+        if deltas[-1] <= tol:
+            break
+    return history, density, norms, deltas, n
+
+
+class TestFreeStreamingReuse:
+    """Slices at or past the quiet time reuse the free-streaming rows bit for bit."""
+
+    @pytest.mark.parametrize("family", ["gaussian-cosine", "tabulated"])
+    def test_push_density_with_free_rows_equals_full_push(self, family, monkeypatch):
+        datum = _datum(family)
+        hist = _quieting_history()
+        free = push_density(datum, FieldHistory.zero(hist.times, hist.grid), 6.0, 64).rho
+        full = push_density(datum, hist, 6.0, 64)
+        pushed = []
+        transport = scheme.transported_datum
+
+        def recording(datum, history, times, v, substeps):
+            pushed.extend(times)
+            return transport(datum, history, times, v, substeps)
+
+        monkeypatch.setattr(scheme, "transported_datum", recording)
+        reused = push_density(datum, hist, 6.0, 64, free=free)
+        assert np.array_equal(reused.rho, full.rho)
+        assert np.array_equal(reused.mass, full.mass)
+        # Only the slices before the quiet time were transported.
+        assert pushed == [t for t in hist.times if t < hist.quiet_time()]
+        assert 0 < len(pushed) < hist.times.size
+
+    # The gaussian-cosine field falls below the quiet threshold at t = 1.2, so
+    # ten of 25 slices are reused; the bilinear table's field never falls
+    # eight decades below its peak, so only its horizon slice is.
+    @pytest.mark.parametrize("family, reused", [("gaussian-cosine", 10), ("tabulated", 1)])
+    def test_run_iteration_equals_a_loop_without_reuse(self, family, reused):
+        datum = _datum(family)
+        settings = RunSettings(
+            nx=16, nv=128, nt=24, vmax=8.0, horizon=1.5, exploratory=True,
+            fixed_point_tol=0.0, max_iterations=3,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            result = run_iteration(datum, settings)
+        history, density, norms, deltas, iterations = _run_without_reuse(datum, settings)
+        assert np.array_equal(result.field_history.E, history.E)
+        assert np.array_equal(result.density_history.rho, density.rho)
+        assert result.norms == norms and result.deltas == deltas
+        assert result.iterations == iterations == 3
+        # Sweep 1 is free streaming; each later one reuses the rows past its quiet time.
+        stats = [(s.transported, s.reused) for s in result.sweeps]
+        assert stats == [(25, 0)] + [(25 - reused, reused)] * 2
+        assert result.sweeps[0].quiet_time == 0.7
 
 
 class TestRunIteration:
