@@ -8,14 +8,15 @@ reduced mod 1 only at field sampling and output.
 
 Field sampling is the solver's inner loop.  Each FieldHistory stores, beside
 E, the power-basis coefficients of the four-point periodic cubic on every cell
-of every time node, built once when the history is made.  A sample blends the
-two neighbouring coefficient rows linearly in time (the coefficients are
-linear in the nodal values, so this is the interpolant of the blended row) and
-evaluates it by one gather per coefficient and a Horner step in the cell
-offset.  The cell index is reduced mod n in floating point, jf - n floor(jf/n),
-not by the integer modulo, which is several times slower.  The index is the
-same: for an integral jf with |jf| < 2^50 the rounded quotient cannot cross
-an integer, and the product and difference are exact integers.
+of every time node, built once when the history is made, with one wrap cell
+(cell n repeats cell 0).  A sample blends the two neighbouring coefficient
+rows linearly in time (the coefficients are linear in the nodal values, so
+this is the interpolant of the blended row) and evaluates it by one gather
+per coefficient and a Horner step in the cell offset.  The position is
+reduced once, x - floor(x), which gives the same bits as np.mod(x, 1.0)
+without its remainder; the reduced position lies in [0, 1], and the cell of
+x = 1 (reached only by round-off of a tiny negative position) is the wrap
+cell, so the cell index needs no modulo and every gather stays bounds-checked.
 
 Integration is the fixed-step order-4 Nystrom method for X'' = E(t, X)
 (Hairer, Norsett and Wanner, Solving ODEs I, II.14), which needs three field
@@ -68,30 +69,33 @@ def _cubic_coefficients(E: np.ndarray) -> np.ndarray:
 
     For nodal values y[j-1], y[j], y[j+1], y[j+2] the interpolant on cell j is
     c0 + c1 th + c2 th^2 + c3 th^3 with th = n x - j in [0, 1).  Returns shape
-    (rows, 4, n) with c0..c3 along the middle axis.
+    (rows, 4, n + 1) with c0..c3 along the middle axis; cell n is the wrap
+    cell, a copy of cell 0.
     """
     ym1 = np.roll(E, 1, axis=-1)
     y1 = np.roll(E, -1, axis=-1)
     y2 = np.roll(E, -2, axis=-1)
-    coef = np.empty(E.shape[:-1] + (4, E.shape[-1]))
-    coef[..., 0, :] = E
-    coef[..., 1, :] = -ym1 / 3.0 - E / 2.0 + y1 - y2 / 6.0
-    coef[..., 2, :] = ym1 / 2.0 - E + y1 / 2.0
-    coef[..., 3, :] = (y2 - ym1) / 6.0 + (E - y1) / 2.0
+    n = E.shape[-1]
+    coef = np.empty(E.shape[:-1] + (4, n + 1))
+    coef[..., 0, :n] = E
+    coef[..., 1, :n] = -ym1 / 3.0 - E / 2.0 + y1 - y2 / 6.0
+    coef[..., 2, :n] = ym1 / 2.0 - E + y1 / 2.0
+    coef[..., 3, :n] = (y2 - ym1) / 6.0 + (E - y1) / 2.0
+    coef[..., n] = coef[..., 0]
     return coef
 
 
 def _eval_cubic(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The periodic cubic with (4, n) cell coefficients at unreduced positions x.
+    """The periodic cubic with (4, n + 1) cell coefficients at unreduced positions x.
 
-    Forming n x before reducing adds round-off of the order of n ulp(x), which
-    is the uncertainty an unreduced position already carries.
+    x is reduced to [0, 1] before n x is formed, so the cell index lies in
+    [0, n] and is gathered without a modulo (see the module docstring).
     """
-    n = coef.shape[-1]
-    th = x * n
+    n = coef.shape[-1] - 1
+    th = x - np.floor(x)
+    th *= n
     j = np.floor(th)
     th -= j  # cell offset in [0, 1)
-    j -= n * np.floor(j / n)  # exact reduction to [0, n), see the module docstring
     j = j.astype(np.intp)
     y = coef[3].take(j)
     y *= th
@@ -107,9 +111,10 @@ def _eval_cubic(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
 class FieldHistory:
     """Time x space samples of the split electric field for one scheme iterate.
 
-    Derived on construction, read-only: E = Ebar + Etilde, coef, the
-    (times, 4, nx) cubic cell coefficients of E that sample evaluates, and the
-    default quiet_time(), which every transport of a block asks for.  A
+    Derived on construction, read-only: E = Ebar + Etilde, which must be
+    finite, coef, the (times, 4, nx + 1) cubic cell coefficients of E that
+    sample evaluates, the floats t0, horizon and dt, and the default
+    quiet_time(), which every transport of a block asks for.  A
     history assembled from solved slices (from_slices, hence every field_update)
     also keeps their potentials Ubar and Utilde, read-only, so a converged run
     can be certified without solving a slice again; a history built from the
@@ -141,6 +146,13 @@ class FieldHistory:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "E", self.Ebar + self.Etilde)
         self.E.setflags(write=False)
+        finite = np.isfinite(self.E).all(axis=1)
+        if not finite.all():
+            t = times[np.argmin(finite)]
+            raise ParameterError(f"non-finite field at t={t:g}")
+        object.__setattr__(self, "t0", float(times[0]))
+        object.__setattr__(self, "horizon", float(times[-1]))
+        object.__setattr__(self, "dt", float(times[1] - times[0]))
         object.__setattr__(self, "coef", _cubic_coefficients(self.E))
         self.coef.setflags(write=False)
         span = max(1.0, self.horizon - self.t0)
@@ -164,18 +176,6 @@ class FieldHistory:
             Ubar=np.vstack([s.Ubar for s in slices]),
             Utilde=np.vstack([s.Utilde for s in slices]),
         )
-
-    @property
-    def t0(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
     def quiet_time(self, threshold: float | None = None) -> float:
         """Earliest grid time after which every slice stays below the threshold.
@@ -215,6 +215,13 @@ class FieldHistory:
         return _eval_cubic((1.0 - th) * self.coef[i] + th * self.coef[i + 1], x)
 
 
+def nystrom_steps(span: float, step: float) -> int:
+    """Number of fixed steps _nystrom_span takes over a span of the given length."""
+    if span == 0.0:
+        return 0
+    return max(1, int(math.ceil(abs(span) / step - 1e-12)))
+
+
 def _nystrom_span(field, t_from: float, t_to: float, X, V, step: float):
     """Advance (X, V) from t_from to t_to with the fixed-step Nystrom method; either direction.
 
@@ -225,10 +232,12 @@ def _nystrom_span(field, t_from: float, t_to: float, X, V, step: float):
         X += dt V + dt^2/6 (k1 + 2 k2)
         V += dt/6 (k1 + 4 k2 + k3)
     """
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
+        raise IntegrationError(f"non-finite phase state at t={t_from:g}")
     span = t_to - t_from
     if span == 0.0:
         return X, V
-    nsteps = max(1, int(math.ceil(abs(span) / step - 1e-12)))
+    nsteps = nystrom_steps(span, step)
     # Step endpoints are computed from t_from/t_to directly (never by
     # accumulation): round-off drift past the horizon would sample the
     # hard-zeroed field and poison the last step.
@@ -244,7 +253,7 @@ def _nystrom_span(field, t_from: float, t_to: float, X, V, step: float):
         X += (dt * dt / 6.0) * k12
         V = V + (dt / 6.0) * (k12 + 2.0 * k2 + k3)
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
-        raise IntegrationError("non-finite state during trajectory integration")
+        raise IntegrationError(f"non-finite state integrating from t={t_from:g} to t={t_to:g}")
     return X, V
 
 

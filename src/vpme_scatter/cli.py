@@ -7,9 +7,10 @@ diagnostics), ``demo-instability`` (the weak-instability construction), and
 ``run`` appends the certificate of the paper's guarantees (diagnostics.certify)
 to summary.txt and writes it under ``certificate`` in manifest.json; in theorem
 mode a failing certificate is an error, in exploratory mode it is reported.
-What each sweep's density push transported (its quiet time, slices transported
-and reused) goes to summary.txt and under ``stats`` in manifest.json, never
-into the tables.
+What each sweep did (its quiet time, slices transported and reused, field
+points sampled) goes to summary.txt and, with the sweep's push and update wall
+times, under ``stats`` in manifest.json; none of it goes into the tables, and
+no timing into summary.txt.
 
 Exit codes: 0 success/convergence, 2 iteration cap without convergence,
 1 any error, including a failing certificate in theorem mode.  All tables use
@@ -140,7 +141,8 @@ def render_summary(result: SchemeResult, reports: dict) -> str:
     for n, sweep in enumerate(result.sweeps, start=1):
         lines.append(
             f"  sweep {n}: quiet time {_fmt(sweep.quiet_time)},"
-            f" slices transported {sweep.transported}, reused {sweep.reused}"
+            f" slices transported {sweep.transported}, reused {sweep.reused},"
+            f" sampled points {sweep.sampled_points}"
         )
     decay = reports.get("decay")
     if decay is not None:

@@ -9,16 +9,18 @@ final history carries the slices that diagnostics.certify reads.  Convergence
 is tracked in the exponentially weighted sup norm, whose successive deltas
 contract with factor 1/2 in the theorem regime.
 
-The first sweep runs on the zero field, so its density is the free-streaming
-density.  Past a history's quiet time every characteristic is free flight and
-its slice goes through exactly the operations of the first sweep, so later
-sweeps transport only the slices before the quiet time and reuse the first
-sweep's rows, bit for bit, for the others.
+Past a history's quiet time every characteristic is free flight,
+f(t, x, v) = f*(x - v t, v), so the Simpson sum of a slice there is a closed
+finite sum over the Simpson nodes that needs no characteristics.  A push
+transports only the slices before the quiet time and takes every other row
+from that sum; the first sweep runs on the zero field, whose quiet time is the
+start, so it transports nothing.
 """
 
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -29,9 +31,10 @@ from .asymptotic import (
     ValidationReport,
     default_vmax,
     eval_f_star,
+    h_limit,
     validate_class_membership,
 )
-from .characteristics import DEFAULT_SUBSTEPS, FieldHistory, transport_to_horizon
+from .characteristics import DEFAULT_SUBSTEPS, FieldHistory, nystrom_steps, transport_to_horizon
 from .errors import DomainError, ParameterError, SolverDivergenceError
 from .poisson import NEWTON_TOL, SpatialGrid, make_field_slice
 
@@ -61,11 +64,21 @@ class DensityHistory:
 
 @dataclass(frozen=True)
 class SweepStats:
-    """What one sweep's density push did: its field's quiet time and slices transported or reused."""
+    """What one sweep did and cost.
+
+    quiet_time is that of the field the density was pushed on; transported
+    slices went through the characteristics and reused ones were read from the
+    free-streaming sum; sampled_points counts the field samples of the
+    transport (three per Nystrom step per mesh point); push_s and update_s are
+    the wall times of the density push and the field update.
+    """
 
     quiet_time: float
     transported: int
     reused: int
+    sampled_points: int
+    push_s: float
+    update_s: float
 
 
 @dataclass
@@ -107,32 +120,51 @@ def transported_datum(
     f(t, x, v) = f*(X(T) - T V(T), V(T)), where (X, V) is the characteristic
     through (x, v) at t, carried to the horizon T with step history.dt /
     substeps.  The mesh is built once and transported, and f* read at its
-    labels, in blocks of TRANSPORT_BLOCK points; every operation on the way is
-    per point, so a slice is bit-identical to one whole-mesh transport.  Each
-    slice has shape (v.size, nx).
+    labels, in equal blocks of at most TRANSPORT_BLOCK points; every operation
+    on the way is per point, so a slice is bit-identical to one whole-mesh
+    transport.  Each slice has shape (v.size, nx).
     """
     x = history.grid.nodes
     X0, V0 = (a.ravel() for a in np.meshgrid(x, v))
     step = history.dt / substeps
     T = history.horizon
+    size = math.ceil(X0.size / math.ceil(X0.size / TRANSPORT_BLOCK))
     for t in times:
         f = np.empty(X0.size)
-        for lo in range(0, X0.size, TRANSPORT_BLOCK):
-            block = slice(lo, lo + TRANSPORT_BLOCK)
+        for lo in range(0, X0.size, size):
+            block = slice(lo, lo + size)
             XT, VT = transport_to_horizon(history, float(t), X0[block], V0[block], step)
             f[block] = eval_f_star(datum, XT - T * VT, VT)
         yield f.reshape(v.size, x.size)
 
 
-def _transported_slices(history: FieldHistory, free: np.ndarray | None) -> int:
-    """Number of leading slices push_density transports; it reuses the rows of free for the rest.
-
-    Without the free-streaming density every slice is transported; with it,
-    only the slices before the history's quiet time.
-    """
-    if free is None:
-        return history.times.size
+def _transported_slices(history: FieldHistory) -> int:
+    """Number of leading slices push_density transports: those before the history's quiet time."""
     return int(np.searchsorted(history.times, history.quiet_time()))
+
+
+def _free_streaming_rows(
+    datum: AsymptoticDatum, times, x: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """sum_k w_k f*(x_j - t_i v_k, v_k) on every (t_i, x_j): the density of free flight.
+
+    For the gaussian-cosine family, f* = h(v) (1 + cos 2 pi x), the sum is
+    sum_k w_k h(v_k) (1 + cos 2 pi x cos 2 pi t v_k + sin 2 pi x sin 2 pi t v_k),
+    two velocity sums per time.  A table is read at the free-flight labels.
+    Each row is computed on its own, so it does not depend on the other times.
+    """
+    rho = np.empty((len(times), x.size))
+    if datum.family == "gaussian-cosine":
+        wh = w * h_limit(datum, v)
+        mean = wh.sum()
+        cx, sx = np.cos(2.0 * np.pi * x), np.sin(2.0 * np.pi * x)
+        for i, t in enumerate(times):
+            phase = (2.0 * np.pi * t) * v
+            rho[i] = mean + (wh @ np.cos(phase)) * cx + (wh @ np.sin(phase)) * sx
+    else:
+        for i, t in enumerate(times):
+            rho[i] = w @ eval_f_star(datum, x[None, :] - t * v[:, None], v[:, None])
+    return rho
 
 
 def push_density(
@@ -141,28 +173,33 @@ def push_density(
     vmax: float,
     nv: int,
     substeps: int = DEFAULT_SUBSTEPS,
-    free: np.ndarray | None = None,
 ) -> DensityHistory:
     """Density of the transported datum on every (time, space) node.
 
-    rho(t_i, x_j) = sum_k w_k f(t_i, x_j, v_k), the composite Simpson sum of
-    each transported_datum slice over the truncated velocity grid.  free, if
-    given, is the free-streaming density (the push on the zero field) on the
-    same times, mesh and vmax: a slice at or past the quiet time is free flight
-    to the horizon, the very operations that gave its row of free, so that row
-    is copied instead of transported.
+    rho(t_i, x_j) = sum_k w_k f(t_i, x_j, v_k), the composite Simpson sum over
+    the truncated velocity grid: of each transported_datum slice before the
+    history's quiet time, and of the free-streaming datum f*(x - v t, v) at or
+    past it, where every characteristic is free flight (_free_streaming_rows).
     """
     v = np.linspace(-vmax, vmax, nv + 1)
     w = simpson_weights(nv, v[1] - v[0])
-    n = _transported_slices(history, free)
-    rho = np.empty((history.times.size, history.grid.nx))
-    for i, f in enumerate(transported_datum(datum, history, history.times[:n], v, substeps)):
+    times = history.times
+    n = _transported_slices(history)
+    rho = np.empty((times.size, history.grid.nx))
+    for i, f in enumerate(transported_datum(datum, history, times[:n], v, substeps)):
         rho[i] = w @ f
-    if free is not None:
-        rho[n:] = free[n:]
+    rho[n:] = _free_streaming_rows(datum, times[n:], history.grid.nodes, v, w)
     np.maximum(rho, 0.0, out=rho)  # clip negative round-off from quadrature
     mass = rho.mean(axis=1)
-    return DensityHistory(times=history.times, rho=rho, mass=mass)
+    return DensityHistory(times=times, rho=rho, mass=mass)
+
+
+def _sampled_points(history: FieldHistory, n: int, mesh: int, substeps: int) -> int:
+    """Field samples taken by push_density's transport of the first n slices of a mesh."""
+    tq = history.quiet_time()
+    step = history.dt / substeps
+    steps = sum(nystrom_steps(tq - float(t), step) for t in history.times[:n])
+    return 3 * steps * mesh
 
 
 def field_update(
@@ -234,11 +271,11 @@ def run_iteration(
     result, not an exception.  A caller that has already validated the datum
     passes its report; otherwise the datum is validated here.
 
-    The first sweep pushes the datum on the zero field, so its density is the
-    free-streaming density.  Every later push reuses its rows, bit for bit,
-    for the slices at or past the sweep's quiet time (push_density); every
-    field update still solves all slices.  Each sweep's quiet time and its
-    transported and reused slice counts are recorded in result.sweeps.
+    Each push transports only the slices before its field's quiet time and
+    reads the others from the free-streaming sum (push_density), so the first
+    sweep, on the zero field, transports none; every field update still
+    solves all slices.  What each sweep did and cost is recorded in
+    result.sweeps.
     """
     klass = datum.klass
     if report is None:
@@ -263,18 +300,26 @@ def run_iteration(
 
     result = SchemeResult(horizon=horizon, vmax=vmax)
     history = FieldHistory.zero(times, grid)
+    mesh = (settings.nv + 1) * settings.nx
     density = None
-    free = None
     tol = None
     for n in range(1, settings.max_iterations + 1):
-        density = push_density(datum, history, vmax, settings.nv, settings.ode_substeps, free)
-        transported = _transported_slices(history, free)
-        result.sweeps.append(
-            SweepStats(history.quiet_time(), transported, times.size - transported)
-        )
-        if free is None:
-            free = density.rho
+        start = time.perf_counter()
+        density = push_density(datum, history, vmax, settings.nv, settings.ode_substeps)
+        pushed = time.perf_counter()
         new_history = field_update(density, grid, newton_tol=settings.newton_tol)
+        updated = time.perf_counter()
+        transported = _transported_slices(history)
+        result.sweeps.append(
+            SweepStats(
+                quiet_time=history.quiet_time(),
+                transported=transported,
+                reused=times.size - transported,
+                sampled_points=_sampled_points(history, transported, mesh, settings.ode_substeps),
+                push_s=pushed - start,
+                update_s=updated - pushed,
+            )
+        )
         norm = weighted_norm(new_history, klass.a, klass.t0)
         delta = weighted_norm_array(times, new_history.E - history.E, klass.a, klass.t0)
         result.norms.append(norm)

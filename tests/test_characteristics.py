@@ -39,7 +39,7 @@ def _interp(row, x):
 
 
 def _eval_cubic_modulo(coef, x):
-    """The cubic kernel with the cell index reduced by integer modulo, as a reference."""
+    """The cubic kernel on unpadded (4, n) cells, the index reduced by integer modulo."""
     n = coef.shape[-1]
     th = x * n
     j = np.floor(th)
@@ -54,8 +54,10 @@ def _same_bits(a, b) -> bool:
 
 
 # Unreduced positions where a reduction could go wrong: round-off to the
-# period, negative zero, far windings.
-EDGE_POSITIONS = [-1e-17, 1.0 - 1e-17, -2.3, 1e6 + 0.25, 0.0, -0.0, 1.0, -1.0, 50.999999999]
+# period, negative zero, far windings, the largest position below 1.
+EDGE_POSITIONS = [
+    -1e-17, 1.0 - 1e-17, -2.3, 1e6 + 0.25, 0.0, -0.0, 1.0, -1.0, 50.999999999, 1.0 - 2.0**-53
+]
 
 
 def _lagrange_reference(row, x):
@@ -116,13 +118,18 @@ class TestCubicInterpolation:
 
     @pytest.mark.parametrize("n", [8, 10, 48, 256])
     def test_float_cell_reduction_matches_integer_modulo(self, n):
+        # The kernel reduces the position with x - floor(x), the same bits as
+        # np.mod(x, 1.0), and reads the wrap cell where the reduction gives 1.
         rng = np.random.default_rng(n)
         coef = _cubic_coefficients(rng.normal(size=n))
-        x = np.concatenate([rng.uniform(-50, 50, 2000), EDGE_POSITIONS])
-        assert _same_bits(_eval_cubic(coef, x), _eval_cubic_modulo(coef, x))
+        cells = coef[:, :n]
+        assert np.array_equal(coef[:, n], coef[:, 0])
+        x = np.concatenate([rng.uniform(-50, 50, 2000), rng.uniform(0, 1, 200), EDGE_POSITIONS])
+        assert _same_bits(_eval_cubic(coef, x), _eval_cubic_modulo(cells, np.mod(x, 1.0)))
         for xi in EDGE_POSITIONS:  # 0-d input
             assert _same_bits(
-                _eval_cubic(coef, np.asarray(xi)), _eval_cubic_modulo(coef, np.asarray(xi))
+                _eval_cubic(coef, np.asarray(xi)),
+                _eval_cubic_modulo(cells, np.mod(np.asarray(xi), 1.0)),
             )
 
 
@@ -142,6 +149,16 @@ class TestFieldHistory:
                 grid=grid,
                 Ebar=np.zeros((3, 16)),  # wrong row count
                 Etilde=np.zeros((4, 16)),
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_a_nonfinite_field(self, bad):
+        grid = SpatialGrid(16)
+        Ebar = np.zeros((4, 16))
+        Ebar[2, 5] = bad
+        with pytest.raises(ParameterError, match=r"non-finite field at t=0\.5"):
+            FieldHistory(
+                times=np.linspace(0, 0.75, 4), grid=grid, Ebar=Ebar, Etilde=np.zeros((4, 16))
             )
 
     def test_sampling_matches_nodes_and_horizon(self):
@@ -244,6 +261,15 @@ class TestUniformDecayOracle:
 
         with pytest.raises(IntegrationError):
             _nystrom_span(Blowup(), 0.0, 1.0, np.array([0.0]), np.array([0.0]), 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("coordinate", ["X", "V"])
+    def test_nonfinite_phase_state_is_refused_before_sampling(self, bad, coordinate):
+        hist = _cosine_history()
+        state = {"X": np.array([0.1, 0.2, 0.3]), "V": np.array([0.5, -0.5, 1.0])}
+        state[coordinate][1] = bad
+        with pytest.raises(IntegrationError, match=r"non-finite phase state at t=0\.25"):
+            transport_to_horizon(hist, 0.25, state["X"], state["V"], hist.dt / 4)
 
 
 class TestSineDecayOracle:

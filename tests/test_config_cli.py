@@ -156,13 +156,16 @@ class TestRunCommand:
         sweeps = manifest["stats"]["sweeps"]
         assert len(sweeps) == manifest["iterations"]
         nodes = parse_config(manifest["config"]).settings.nt + 1
-        assert sweeps[0]["transported"] == nodes and sweeps[0]["reused"] == 0
+        assert sweeps[0]["transported"] == 0 and sweeps[0]["reused"] == nodes
+        assert sweeps[0]["sampled_points"] == 0
         assert all(s["transported"] + s["reused"] == nodes for s in sweeps)
+        assert all(s["push_s"] > 0.0 and s["update_s"] > 0.0 for s in sweeps)
         summary = (out / "summary.txt").read_text().splitlines()
         for n, s in enumerate(sweeps, start=1):
             line = (
                 f"  sweep {n}: quiet time {s['quiet_time']!r},"
-                f" slices transported {s['transported']}, reused {s['reused']}"
+                f" slices transported {s['transported']}, reused {s['reused']},"
+                f" sampled points {s['sampled_points']}"
             )
             assert line in summary
 
