@@ -3,8 +3,9 @@
 
 For f* = mu(v)(1 + cos 2 pi x) the transported solution relaxes weakly to
 the homogeneous profile mu (every smooth test function sees a vanishing
-gap), yet sup_x |f(t, x, 0) - mu(0)| never shrinks: the cosine mixes in
-phase space without decaying pointwise.  This is the mechanism behind
+gap), yet the pointwise gap sup_{x,v} |f(t, x, v) - mu(v)| on the same
+transported slices never shrinks: the cosine mixes in phase space without
+decaying pointwise.  This is the mechanism behind
 stationary solutions that are unstable in the weak topology.
 """
 

@@ -109,6 +109,11 @@ class AsymptoticDatum:
             if arr is not None:
                 arr.setflags(write=False)
 
+    @property
+    def reflection_symmetric(self) -> bool:
+        """Whether f*(-x, -v) = f*(x, v): true of gaussian-cosine data, not assumed of tables."""
+        return self.family == "gaussian-cosine"
+
 
 @dataclass(frozen=True)
 class ValidationReport:

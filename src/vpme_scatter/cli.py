@@ -7,10 +7,11 @@ diagnostics), ``demo-instability`` (the weak-instability construction), and
 ``run`` appends the certificate of the paper's guarantees (diagnostics.certify)
 to summary.txt and writes it under ``certificate`` in manifest.json; in theorem
 mode a failing certificate is an error, in exploratory mode it is reported.
-What each sweep did (its quiet time, slices transported and reused, field
-points sampled) goes to summary.txt and, with the sweep's push and update wall
-times, under ``stats`` in manifest.json; none of it goes into the tables, and
-no timing into summary.txt.
+What each sweep did (its quiet time, slices transported and reused, phase
+points per transported slice, field points sampled) goes to summary.txt and,
+with the sweep's push and update wall times, under ``stats`` in
+manifest.json; none of it goes into the tables, and no timing into
+summary.txt.
 
 Exit codes: 0 success/convergence, 2 iteration cap without convergence,
 1 any error, including a failing certificate in theorem mode.  All tables use
@@ -142,7 +143,7 @@ def render_summary(result: SchemeResult, reports: dict) -> str:
         lines.append(
             f"  sweep {n}: quiet time {_fmt(sweep.quiet_time)},"
             f" slices transported {sweep.transported}, reused {sweep.reused},"
-            f" sampled points {sweep.sampled_points}"
+            f" mesh points {sweep.mesh_points}, sampled points {sweep.sampled_points}"
         )
     decay = reports.get("decay")
     if decay is not None:
@@ -264,11 +265,9 @@ def demo_instability_command(config: RunConfig, out_dir: Path) -> int:
         config.settings,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"class membership of mu(v)(1+cos 2 pi x): {'pass' if report.member else 'fail'}",
-        f"pointwise probe gap at v={_fmt(report.probe_velocity)}: {_fmt(report.probe_gap)}",
-        f"probe reference mu(v*): {_fmt(report.probe_reference)}",
-    ]
+    lines = [f"class membership of mu(v)(1+cos 2 pi x): {'pass' if report.member else 'fail'}"]
+    for t, gap in report.weak_report.sup_gaps:
+        lines.append(f"pointwise gap sup |f - mu| t={_fmt(t)}: {_fmt(gap)}")
     for tid, t, gap in report.weak_report.entries:
         lines.append(f"weak gap {tid} t={_fmt(t)}: {_fmt(gap)}")
     lines.append(report.narrative)

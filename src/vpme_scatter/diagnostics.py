@@ -3,12 +3,13 @@
 Covers the exponential decay envelope of the field, the certificate of the
 paper's guarantees, weak convergence of the transported datum to its spatial
 average, the spatial Lipschitz constant of the field, and the weak-instability
-construction (weak gaps shrink while a pointwise probe gap does not).
+construction (weak gaps shrink while the pointwise gap does not).
 
 certify is the one check of the guarantees: it reads the run's own arrays
 (norm trace, density, and the potentials the last field update solved) and
-solves nothing again.  The weak gaps and the probe read the transported datum
-through scheme.transported_datum, as the density does.
+solves nothing again.  The weak gaps and the pointwise gap sup |f(t) - h| read
+the same transported_datum slices (scheme.transported_datum, as the density
+does).
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .scheme import (
     RunSettings,
     SchemeResult,
     run_iteration,
-    simpson_weights,
     transported_datum,
+    velocity_grid,
 )
 
 DECAY_FLOOR = 1e-14
@@ -120,9 +121,14 @@ class Certificate:
 
 @dataclass(frozen=True)
 class WeakConvergenceReport:
-    """Gaps |<phi, f(t)> - <phi, h>| per test function and time."""
+    """Weak gaps |<phi, f(t)> - <phi, h>| per test function and time.
+
+    sup_gaps holds the pointwise gap sup_{x,v} |f(t) - h(v)| of the same
+    slices, per time.
+    """
 
     entries: list  # (test id, time, gap)
+    sup_gaps: list  # (time, pointwise gap)
 
     def gaps_for(self, test_id: str) -> list[tuple[float, float]]:
         return [(t, g) for (i, t, g) in self.entries if i == test_id]
@@ -136,13 +142,14 @@ class WeakConvergenceReport:
 
 @dataclass
 class InstabilityReport:
-    """Coexistence of weak relaxation and a persistent pointwise gap."""
+    """Coexistence of weak relaxation and a persistent pointwise gap.
+
+    The weak gaps and the pointwise gaps sup_{x,v} |f(t) - h(v)| are both in
+    weak_report, at the same times.
+    """
 
     member: bool
     weak_report: WeakConvergenceReport | None = None
-    probe_velocity: float = 0.0
-    probe_gap: float = 0.0
-    probe_reference: float = 0.0
     scheme: SchemeResult | None = None
     narrative: str = (
         "The time-reversed construction (initial data weakly close to the "
@@ -243,24 +250,25 @@ def weak_convergence_gap(
 
     f(t) is the transported_datum slice and h the spatial average of the
     datum; x uses the trapezoid rule on the periodic grid, v composite Simpson
-    on [-vmax, vmax].  Each phi and its <phi, h> are evaluated once on the
-    mesh.
+    on the velocity_grid of [-vmax, vmax].  Each phi and its <phi, h> are
+    evaluated once on the mesh.  The same slice gives the pointwise gap
+    sup_{x,v} |f(t) - h(v)| over the mesh.
     """
     nx = history.grid.nx
-    v = np.linspace(-vmax, vmax, nv + 1)
-    wv = simpson_weights(nv, v[1] - v[0])
+    v, wv = velocity_grid(vmax, nv)
     X, V = np.meshgrid(history.grid.nodes, v)
     hv = np.asarray(h_limit(datum, v), dtype=float)
     tests = []
     for tid, phi in default_test_set().items():
         pv = phi(X, V)
         tests.append((tid, pv, float(np.sum(np.mean(pv, axis=1) * hv * wv))))
-    entries = []
+    entries, sup_gaps = [], []
     for t, f in zip(times, transported_datum(datum, history, times, v, substeps)):
         for tid, pv, rhs in tests:
             lhs = float(np.sum(pv * f * wv[:, None])) / nx
             entries.append((tid, float(t), abs(lhs - rhs)))
-    return WeakConvergenceReport(entries=entries)
+        sup_gaps.append((float(t), float(np.max(np.abs(f - hv[:, None])))))
+    return WeakConvergenceReport(entries=entries, sup_gaps=sup_gaps)
 
 
 def lipschitz_estimate(history: FieldHistory) -> float:
@@ -275,14 +283,15 @@ def instability_report(
     klass: ClassParameters,
     settings: RunSettings,
 ) -> InstabilityReport:
-    """Run the scheme for f* = mu(v)(1 + cos 2 pi x) and probe both convergence modes.
+    """Run the scheme for f* = mu(v)(1 + cos 2 pi x) and measure both convergence modes.
 
     mu is the Gaussian mu(v) = mu_amplitude * g_sigma(v); it must satisfy the
     halved velocity-tail bound |mu| <= a2 / (2 (1 + v^4)), which the doubled
-    profile then meets.  Weak gaps against h = mu at six times spread over
-    the history should shrink with time, while the pointwise gap
-    sup_x |f(T, x, 0) - mu(0)| at the horizon stays bounded below: the cosine
-    never relaxes pointwise.
+    profile then meets.  At six times spread over the history, the weak gaps
+    against h = mu should shrink with time, while the pointwise gap
+    sup_{x,v} |f(t, x, v) - mu(v)| on the same transported slices stays
+    bounded below: the cosine mixes in phase space but never relaxes
+    pointwise.
     """
     if mu_amplitude <= 0.0 or mu_sigma <= 0.0:
         raise ParameterError("mu amplitude and width must be positive")
@@ -302,18 +311,4 @@ def instability_report(
         nv=min(settings.nv, 512),
         substeps=settings.ode_substeps,
     )
-
-    v_probe = np.zeros(1)  # v* = 0, the InstabilityReport.probe_velocity default
-    (f_probe,) = transported_datum(
-        datum, history, [history.horizon], v_probe, settings.ode_substeps
-    )
-    mu_probe = float(h_limit(datum, v_probe)[0])
-    probe_gap = float(np.max(np.abs(f_probe - mu_probe)))
-
-    return InstabilityReport(
-        member=membership.member,
-        weak_report=weak,
-        probe_gap=probe_gap,
-        probe_reference=mu_probe,
-        scheme=result,
-    )
+    return InstabilityReport(member=membership.member, weak_report=weak, scheme=result)

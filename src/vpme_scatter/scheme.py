@@ -15,6 +15,13 @@ finite sum over the Simpson nodes that needs no characteristics.  A push
 transports only the slices before the quiet time and takes every other row
 from that sum; the first sweep runs on the zero field, whose quiet time is the
 start, so it transports nothing.
+
+A reflection-symmetric datum, f*(-x, -v) = f*(x, v) (the gaussian-cosine
+family; tables are not assumed to be), has a field odd in x, so the flow
+commutes with R(x, v) = (-x, -v) and f(t) o R = f(t) on every slice.  On the
+mirror-symmetric velocity lattice of velocity_grid a push then transports only
+the rows v >= 0 of a slice, (nv/2 + 1) nx points, and reads each row -v_k from
+row v_k at the mirrored x nodes.
 """
 
 from __future__ import annotations
@@ -68,14 +75,17 @@ class SweepStats:
 
     quiet_time is that of the field the density was pushed on; transported
     slices went through the characteristics and reused ones were read from the
-    free-streaming sum; sampled_points counts the field samples of the
-    transport (three per Nystrom step per mesh point); push_s and update_s are
-    the wall times of the density push and the field update.
+    free-streaming sum; mesh_points is the number of phase points each
+    transported slice carries ((nv/2 + 1) nx for a reflection-symmetric datum,
+    (nv + 1) nx otherwise); sampled_points counts the field samples of the
+    transport (three per Nystrom step per transported point); push_s and
+    update_s are the wall times of the density push and the field update.
     """
 
     quiet_time: float
     transported: int
     reused: int
+    mesh_points: int
     sampled_points: int
     push_s: float
     update_s: float
@@ -106,6 +116,18 @@ def simpson_weights(n_intervals: int, h: float) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w * h / 3.0
+
+
+def velocity_grid(vmax: float, nv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Velocity nodes vmax k / (nv/2), k = -nv/2 .. nv/2, and their composite Simpson weights.
+
+    The nodes are exact mirror images, v[::-1] == -v, with v[0] = -vmax and
+    v[-1] = vmax; np.linspace(-vmax, vmax, nv + 1) does not guarantee the
+    mirror symmetry, which the reflection of push_density needs.
+    """
+    w = simpson_weights(nv, 2.0 * vmax / nv)
+    m = nv // 2
+    return vmax * (np.arange(-m, m + 1) / m), w
 
 
 def transported_datum(
@@ -143,6 +165,38 @@ def _transported_slices(history: FieldHistory) -> int:
     return int(np.searchsorted(history.times, history.quiet_time()))
 
 
+def _transported_velocities(datum: AsymptoticDatum, v: np.ndarray) -> np.ndarray:
+    """Velocity rows a push transports: v >= 0 of a reflection-symmetric datum, else all of v."""
+    return v[v.size // 2 :] if datum.reflection_symmetric else v
+
+
+def _transported_rows(
+    datum: AsymptoticDatum,
+    history: FieldHistory,
+    times,
+    v: np.ndarray,
+    w: np.ndarray,
+    substeps: int = DEFAULT_SUBSTEPS,
+) -> np.ndarray:
+    """sum_k w_k f(t_i, x_j, v_k) of transported_datum on every (t_i, x_j).
+
+    Only the _transported_velocities rows go through the characteristics.  For
+    a reflection-symmetric datum, on the mirror-symmetric v of velocity_grid,
+    the rows v_{nv-k} = -v_k are then filled from row k at x index (-j) % nx
+    before the Simpson sum w @ f is taken.
+    """
+    nx = history.grid.nx
+    mirror = -np.arange(nx) % nx
+    rho = np.empty((len(times), nx))
+    for i, f in enumerate(
+        transported_datum(datum, history, times, _transported_velocities(datum, v), substeps)
+    ):
+        if f.shape[0] < v.size:
+            f = np.vstack([f[:0:-1, mirror], f])
+        rho[i] = w @ f
+    return rho
+
+
 def _free_streaming_rows(
     datum: AsymptoticDatum, times, x: np.ndarray, v: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
@@ -177,17 +231,21 @@ def push_density(
     """Density of the transported datum on every (time, space) node.
 
     rho(t_i, x_j) = sum_k w_k f(t_i, x_j, v_k), the composite Simpson sum over
-    the truncated velocity grid: of each transported_datum slice before the
-    history's quiet time, and of the free-streaming datum f*(x - v t, v) at or
-    past it, where every characteristic is free flight (_free_streaming_rows).
+    the truncated velocity grid (velocity_grid): of each transported_datum
+    slice before the history's quiet time (_transported_rows), and of the
+    free-streaming datum f*(x - v t, v) at or past it, where every
+    characteristic is free flight (_free_streaming_rows).
+
+    For a reflection-symmetric datum only the rows v >= 0 of a slice are
+    transported and the rows v < 0 are read by reflection.  That is exact only
+    when the history's field is odd in x, E(t, -x) = -E(t, x); every iterate of
+    run_iteration on such a datum is, to solver round-off.
     """
-    v = np.linspace(-vmax, vmax, nv + 1)
-    w = simpson_weights(nv, v[1] - v[0])
+    v, w = velocity_grid(vmax, nv)
     times = history.times
     n = _transported_slices(history)
     rho = np.empty((times.size, history.grid.nx))
-    for i, f in enumerate(transported_datum(datum, history, times[:n], v, substeps)):
-        rho[i] = w @ f
+    rho[:n] = _transported_rows(datum, history, times[:n], v, w, substeps)
     rho[n:] = _free_streaming_rows(datum, times[n:], history.grid.nodes, v, w)
     np.maximum(rho, 0.0, out=rho)  # clip negative round-off from quadrature
     mass = rho.mean(axis=1)
@@ -195,7 +253,7 @@ def push_density(
 
 
 def _sampled_points(history: FieldHistory, n: int, mesh: int, substeps: int) -> int:
-    """Field samples taken by push_density's transport of the first n slices of a mesh."""
+    """Field samples taken by push_density's transport of the first n slices, mesh points each."""
     tq = history.quiet_time()
     step = history.dt / substeps
     steps = sum(nystrom_steps(tq - float(t), step) for t in history.times[:n])
@@ -273,8 +331,9 @@ def run_iteration(
 
     Each push transports only the slices before its field's quiet time and
     reads the others from the free-streaming sum (push_density), so the first
-    sweep, on the zero field, transports none; every field update still
-    solves all slices.  What each sweep did and cost is recorded in
+    sweep, on the zero field, transports none; for a reflection-symmetric
+    datum it transports only the rows v >= 0 of a slice.  Every field update
+    still solves all slices.  What each sweep did and cost is recorded in
     result.sweeps.
     """
     klass = datum.klass
@@ -300,7 +359,8 @@ def run_iteration(
 
     result = SchemeResult(horizon=horizon, vmax=vmax)
     history = FieldHistory.zero(times, grid)
-    mesh = (settings.nv + 1) * settings.nx
+    v, _ = velocity_grid(vmax, settings.nv)
+    mesh = _transported_velocities(datum, v).size * settings.nx
     density = None
     tol = None
     for n in range(1, settings.max_iterations + 1):
@@ -315,6 +375,7 @@ def run_iteration(
                 quiet_time=history.quiet_time(),
                 transported=transported,
                 reused=times.size - transported,
+                mesh_points=mesh,
                 sampled_points=_sampled_points(history, transported, mesh, settings.ode_substeps),
                 push_s=pushed - start,
                 update_s=updated - pushed,

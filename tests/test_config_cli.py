@@ -155,8 +155,11 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         sweeps = manifest["stats"]["sweeps"]
         assert len(sweeps) == manifest["iterations"]
-        nodes = parse_config(manifest["config"]).settings.nt + 1
+        settings = parse_config(manifest["config"]).settings
+        nodes = settings.nt + 1
         assert sweeps[0]["transported"] == 0 and sweeps[0]["reused"] == nodes
+        # A gaussian-cosine datum is transported on the rows v >= 0 only.
+        assert all(s["mesh_points"] == (settings.nv // 2 + 1) * settings.nx for s in sweeps)
         assert sweeps[0]["sampled_points"] == 0
         assert all(s["transported"] + s["reused"] == nodes for s in sweeps)
         assert all(s["push_s"] > 0.0 and s["update_s"] > 0.0 for s in sweeps)
@@ -165,7 +168,7 @@ class TestRunCommand:
             line = (
                 f"  sweep {n}: quiet time {s['quiet_time']!r},"
                 f" slices transported {s['transported']}, reused {s['reused']},"
-                f" sampled points {s['sampled_points']}"
+                f" mesh points {s['mesh_points']}, sampled points {s['sampled_points']}"
             )
             assert line in summary
 
@@ -311,7 +314,7 @@ class TestOtherCommands:
         code = main(["demo-instability", str(cfg), "--out", str(out)])
         assert code == 0
         text = (out / "instability.txt").read_text()
-        assert "probe gap" in text
+        assert "pointwise gap sup |f - mu| t=" in text
         assert "weak gap" in text
 
     def test_config_error_exit_code(self, tmp_path, capsys):

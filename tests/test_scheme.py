@@ -35,6 +35,7 @@ from vpme_scatter.scheme import (
     reconstruct_f,
     run_iteration,
     simpson_weights,
+    velocity_grid,
     weighted_norm,
     weighted_norm_array,
 )
@@ -255,17 +256,16 @@ class TestTransportedDatum:
             assert np.array_equal(f, whole)
 
 
-def _mesh(vmax: float, nv: int):
-    v = np.linspace(-vmax, vmax, nv + 1)
-    return v, simpson_weights(nv, v[1] - v[0])
-
-
 def _transported_rows(datum, history, vmax, nv, substeps=4) -> np.ndarray:
-    """Simpson sums of transported_datum on every slice: a push that reads no closed-form row."""
-    v, w = _mesh(vmax, nv)
-    return np.array(
-        [w @ f for f in scheme.transported_datum(datum, history, history.times, v, substeps)]
-    )
+    """push_density's transported-row sums on every slice: a push that reads no closed-form row."""
+    v, w = velocity_grid(vmax, nv)
+    return scheme._transported_rows(datum, history, history.times, v, w, substeps)
+
+
+def _full_mesh_rows(datum, history, vmax, nv) -> np.ndarray:
+    """Simpson sums of transported_datum on the whole (nv + 1) x nx mesh of every slice."""
+    v, w = velocity_grid(vmax, nv)
+    return np.array([w @ f for f in scheme.transported_datum(datum, history, history.times, v)])
 
 
 def _run_without_reuse(datum, settings: RunSettings):
@@ -303,9 +303,90 @@ class TestFreeStreamingRows:
     def test_closed_form_equals_a_full_transport_of_the_zero_field(self, family):
         datum = _datum(family)
         zero = FieldHistory.zero(np.linspace(0.7, 40.0, 33), SpatialGrid(64))
-        v, w = _mesh(8.0, 256)
+        v, w = velocity_grid(8.0, 256)
         closed = scheme._free_streaming_rows(datum, zero.times, zero.grid.nodes, v, w)
         assert _relative_error(closed, _transported_rows(datum, zero, 8.0, 256)) <= 1e-13
+
+
+class TestVelocityGrid:
+    @pytest.mark.parametrize("vmax", [0.7, 3.11, 4.0, 6.0, 8.0, 9.3])
+    @pytest.mark.parametrize("nv", [2, 32, 64, 100, 256, 512])
+    def test_nodes_are_exact_mirror_images(self, vmax, nv):
+        v, w = velocity_grid(vmax, nv)
+        assert v.size == nv + 1 and v[0] == -vmax and v[-1] == vmax
+        assert np.array_equal(v, -v[::-1]) and v[nv // 2] == 0.0
+        np.testing.assert_allclose(np.diff(v), 2.0 * vmax / nv, rtol=1e-13)
+        assert np.array_equal(w, simpson_weights(nv, 2.0 * vmax / nv))
+
+    def test_rejects_odd_interval_count(self):
+        with pytest.raises(ParameterError):
+            velocity_grid(4.0, 33)
+
+
+class TestReflection:
+    """push_density's rows against a full-mesh transport: reflected (symmetric datum) or not (table)."""
+
+    @staticmethod
+    def _converged_history() -> FieldHistory:
+        datum = make_gaussian_cosine_datum(0.05, 1.0, EXPLORATORY_KLASS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            result = run_iteration(datum, TestSymmetryOracles.SETTINGS)
+        assert result.converged
+        return result.field_history
+
+    @pytest.mark.parametrize(
+        "family, field, nv",
+        [("gaussian-cosine", "quieting", 64), ("gaussian-cosine", "converged", 32),
+         ("tabulated", "quieting", 64)],
+    )
+    def test_pushed_rows_equal_a_full_mesh_transport(self, family, field, nv, monkeypatch):
+        datum = _datum(family)
+        hist = _quieting_history() if field == "quieting" else self._converged_history()
+        vmax = TestSymmetryOracles.SETTINGS.vmax
+        n = int(np.searchsorted(hist.times, hist.quiet_time()))
+        assert n > 0
+        full = np.maximum(_full_mesh_rows(datum, hist, vmax, nv)[:n], 0.0)
+        rows = []
+        transport = scheme.transported_datum
+
+        def recording(datum, history, times, v, substeps):
+            rows.append(v.size)
+            return transport(datum, history, times, v, substeps)
+
+        monkeypatch.setattr(scheme, "transported_datum", recording)
+        pushed = push_density(datum, hist, vmax, nv).rho[:n]
+        if datum.reflection_symmetric:
+            assert rows == [nv // 2 + 1]
+            assert _relative_error(pushed, full) <= 1e-13
+        else:
+            assert rows == [nv + 1]
+            assert np.array_equal(pushed, full)
+
+
+class TestSweepCounters:
+    @pytest.mark.parametrize("family", ["gaussian-cosine", "tabulated"])
+    def test_sampled_points_count_the_field_samples(self, family, monkeypatch):
+        datum = _datum(family, sigma=0.5)
+        settings = RunSettings(
+            nx=16, nv=32, nt=12, vmax=4.0, horizon=3.0, exploratory=True,
+            fixed_point_tol=0.0, max_iterations=3,
+        )
+        sampled = []
+        sample = FieldHistory.sample
+
+        def counting(self, t, x):
+            sampled.append(np.size(x))
+            return sample(self, t, x)
+
+        monkeypatch.setattr(FieldHistory, "sample", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            result = run_iteration(datum, settings)
+        rows = settings.nv // 2 + 1 if datum.reflection_symmetric else settings.nv + 1
+        assert all(s.mesh_points == rows * settings.nx for s in result.sweeps)
+        assert all(size <= rows * settings.nx for size in sampled)
+        assert sum(s.sampled_points for s in result.sweeps) == sum(sampled) > 0
 
 
 class TestFreeStreamingReuse:
@@ -318,7 +399,7 @@ class TestFreeStreamingReuse:
         n = int(np.searchsorted(hist.times, hist.quiet_time()))
         assert 0 < n < hist.times.size
         transported = _transported_rows(datum, hist, 6.0, 64)
-        v, w = _mesh(6.0, 64)
+        v, w = velocity_grid(6.0, 64)
         closed = scheme._free_streaming_rows(datum, hist.times, hist.grid.nodes, v, w)
         pushed = []
         transport = scheme.transported_datum
