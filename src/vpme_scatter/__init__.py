@@ -13,14 +13,7 @@ from .asymptotic import (
     make_tabulated_datum,
     validate_class_membership,
 )
-from .characteristics import (
-    FieldHistory,
-    PhaseLabel,
-    PhasePoint,
-    flow_from_label,
-    label_from_point,
-    sample_field,
-)
+from .characteristics import FieldHistory
 from .poisson import (
     BoundsReport,
     FieldSlice,
@@ -37,7 +30,6 @@ from .scheme import (
     SchemeResult,
     field_update,
     push_density,
-    reconstruct_f,
     run_iteration,
     weighted_norm,
 )

@@ -26,6 +26,11 @@ transports the phase mesh in blocks); every operation is per point, so the
 blocking does not change a bit of the result.  Past the history's quiet time
 (where the stored field drops below a negligible impulse threshold) the flow
 is advanced in closed form as free transport.
+
+transport_to_horizon carries a phase state to the horizon, which is what
+defines its label.  transport_to carries it to any later time; the mesh
+transport of scheme.transported_datum takes it across one time slice wherever
+it composes a slice's labels from those of the next slice.
 """
 
 from __future__ import annotations
@@ -39,29 +44,6 @@ from .errors import IntegrationError, OutOfRangeError, ParameterError
 from .poisson import FieldSlice, SpatialGrid
 
 DEFAULT_SUBSTEPS = 4
-
-
-@dataclass(frozen=True)
-class PhaseLabel:
-    """Asymptotic label (x, v): the limits of X - Vt and V as t -> infinity."""
-
-    x: float
-    v: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x) % 1.0)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Phase coordinates (x, v) at a concrete time t."""
-
-    t: float
-    x: float
-    v: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x) % 1.0)
 
 
 def _cubic_coefficients(E: np.ndarray) -> np.ndarray:
@@ -257,60 +239,18 @@ def _nystrom_span(field, t_from: float, t_to: float, X, V, step: float):
     return X, V
 
 
-def transport_to_horizon(field, t: float, X, V, step: float):
-    """Forward map from phase state (X, V) at time t to the horizon.
+def transport_to(field, t: float, t_to: float, X, V, step: float):
+    """Forward map from phase state (X, V) at time t to the later time t_to.
 
     Nystrom steps up to the quiet time, closed-form free flight beyond it.  X
-    may be unreduced; it stays unreduced.
+    may be unreduced; it stays unreduced.  A t_to one time slice after t is
+    one slice of scheme.transported_datum's label composition.
     """
-    T = field.horizon
-    tq = min(max(field.quiet_time(), t), T)
+    tq = min(max(field.quiet_time(), t), t_to)
     X, V = _nystrom_span(field, t, tq, X, V, step)
-    return X + V * (T - tq), V
+    return X + V * (t_to - tq), V
 
 
-def transport_from_horizon(field, t: float, X, V, step: float):
-    """Backward map from the horizon state (X, V) to time t."""
-    T = field.horizon
-    tq = min(max(field.quiet_time(), t), T)
-    X = X - V * (T - tq)
-    return _nystrom_span(field, tq, t, X, V, step)
-
-
-def _check_time(field, t: float):
-    if t < field.t0 - 1e-12 or t > field.horizon + 1e-12:
-        raise OutOfRangeError(
-            f"time {t} outside the history span [{field.t0}, {field.horizon}]"
-        )
-
-
-def sample_field(history: FieldHistory, t: float, x) -> float | np.ndarray:
-    """E(t, x) from a stored history; scalar in, scalar out."""
-    val = history.sample(t, np.asarray(x, dtype=float))
-    return float(val) if np.ndim(x) == 0 else val
-
-
-def flow_from_label(
-    label: PhaseLabel, history: FieldHistory, t: float, substeps: int = DEFAULT_SUBSTEPS
-) -> PhasePoint:
-    """(X(t), V(t)) of the trajectory with asymptotic label (x, v)."""
-    _check_time(history, t)
-    step = history.dt / substeps
-    X0 = label.x + label.v * history.horizon
-    X, V = transport_from_horizon(
-        history, t, np.asarray([X0]), np.asarray([label.v]), step
-    )
-    return PhasePoint(t=t, x=float(X[0]), v=float(V[0]))
-
-
-def label_from_point(
-    point: PhasePoint, history: FieldHistory, substeps: int = DEFAULT_SUBSTEPS
-) -> PhaseLabel:
-    """Asymptotic label of the trajectory through (x, v) at time t (the inverse flow)."""
-    _check_time(history, point.t)
-    step = history.dt / substeps
-    X, V = transport_to_horizon(
-        history, point.t, np.asarray([point.x]), np.asarray([point.v]), step
-    )
-    return PhaseLabel(x=float(X[0] - history.horizon * V[0]), v=float(V[0]))
-
+def transport_to_horizon(field, t: float, X, V, step: float):
+    """Forward map from phase state (X, V) at time t to the horizon."""
+    return transport_to(field, t, field.horizon, X, V, step)

@@ -7,8 +7,9 @@ diagnostics), ``demo-instability`` (the weak-instability construction), and
 ``run`` appends the certificate of the paper's guarantees (diagnostics.certify)
 to summary.txt and writes it under ``certificate`` in manifest.json; in theorem
 mode a failing certificate is an error, in exploratory mode it is reported.
-What each sweep did (its quiet time, slices transported and reused, phase
-points per transported slice, field points sampled) goes to summary.txt and,
+What each sweep did (its quiet time, slices transported and reused, slices
+composed from the next slice's labels, phase points per transported slice,
+field points sampled) goes to summary.txt and,
 with the sweep's push and update wall times, under ``stats`` in
 manifest.json; none of it goes into the tables, and no timing into
 summary.txt.
@@ -143,7 +144,8 @@ def render_summary(result: SchemeResult, reports: dict) -> str:
         lines.append(
             f"  sweep {n}: quiet time {_fmt(sweep.quiet_time)},"
             f" slices transported {sweep.transported}, reused {sweep.reused},"
-            f" mesh points {sweep.mesh_points}, sampled points {sweep.sampled_points}"
+            f" composed {sweep.composed}, mesh points {sweep.mesh_points},"
+            f" sampled points {sweep.sampled_points}"
         )
     decay = reports.get("decay")
     if decay is not None:

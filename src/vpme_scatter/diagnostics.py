@@ -263,7 +263,7 @@ def weak_convergence_gap(
         pv = phi(X, V)
         tests.append((tid, pv, float(np.sum(np.mean(pv, axis=1) * hv * wv))))
     entries, sup_gaps = [], []
-    for t, f in zip(times, transported_datum(datum, history, times, v, substeps)):
+    for t, (_, f) in zip(times, transported_datum(datum, history, times, v, substeps)):
         for tid, pv, rhs in tests:
             lhs = float(np.sum(pv * f * wv[:, None])) / nx
             entries.append((tid, float(t), abs(lhs - rhs)))

@@ -14,11 +14,7 @@ import numpy as np
 import pytest
 
 from vpme_scatter.asymptotic import datum_mass, make_gaussian_cosine_datum
-from vpme_scatter.characteristics import (
-    FieldHistory,
-    transport_from_horizon,
-    transport_to_horizon,
-)
+from vpme_scatter.characteristics import FieldHistory, transport_to_horizon
 from vpme_scatter.diagnostics import decay_fit, weak_convergence_gap
 from vpme_scatter.poisson import (
     E6,
@@ -35,6 +31,7 @@ from conftest import (
     RUN_SECONDS,
     UniformDecayField,
 )
+from scattering_map import transport_from_horizon
 
 
 def _verdict(n: int, ok: bool, detail: str):

@@ -10,21 +10,23 @@ from scipy.integrate import solve_ivp
 
 from vpme_scatter.characteristics import (
     FieldHistory,
-    PhaseLabel,
-    PhasePoint,
     _cubic_coefficients,
     _eval_cubic,
     _nystrom_span,
-    flow_from_label,
-    label_from_point,
-    sample_field,
-    transport_from_horizon,
     transport_to_horizon,
 )
 from vpme_scatter.errors import IntegrationError, OutOfRangeError, ParameterError
 from vpme_scatter.poisson import SpatialGrid
 
 from conftest import SineDecayField, UniformDecayField
+from scattering_map import (
+    PhaseLabel,
+    PhasePoint,
+    flow_from_label,
+    label_from_point,
+    sample_field,
+    transport_from_horizon,
+)
 
 
 def _cosine_history(nx=64, nt=80, t0=0.0, T=2.0, amp=0.3, rate=1.0):

@@ -160,15 +160,18 @@ class TestRunCommand:
         assert sweeps[0]["transported"] == 0 and sweeps[0]["reused"] == nodes
         # A gaussian-cosine datum is transported on the rows v >= 0 only.
         assert all(s["mesh_points"] == (settings.nv // 2 + 1) * settings.nx for s in sweeps)
-        assert sweeps[0]["sampled_points"] == 0
+        assert sweeps[0]["sampled_points"] == 0 and sweeps[0]["composed"] == 0
         assert all(s["transported"] + s["reused"] == nodes for s in sweeps)
+        # The last slice before the quiet time is never composed.
+        assert all(s["composed"] <= max(s["transported"] - 1, 0) for s in sweeps)
         assert all(s["push_s"] > 0.0 and s["update_s"] > 0.0 for s in sweeps)
         summary = (out / "summary.txt").read_text().splitlines()
         for n, s in enumerate(sweeps, start=1):
             line = (
                 f"  sweep {n}: quiet time {s['quiet_time']!r},"
                 f" slices transported {s['transported']}, reused {s['reused']},"
-                f" mesh points {s['mesh_points']}, sampled points {s['sampled_points']}"
+                f" composed {s['composed']}, mesh points {s['mesh_points']},"
+                f" sampled points {s['sampled_points']}"
             )
             assert line in summary
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from vpme_scatter.asymptotic import (
     make_gaussian_cosine_datum,
     make_tabulated_datum,
 )
-from vpme_scatter.characteristics import FieldHistory, PhasePoint, transport_to_horizon
+from vpme_scatter.characteristics import FieldHistory, transport_to_horizon
 from vpme_scatter import scheme
 from vpme_scatter.errors import DomainError, ParameterError, SolverDivergenceError
 from vpme_scatter.poisson import (
@@ -32,7 +33,6 @@ from vpme_scatter.scheme import (
     default_horizon,
     field_update,
     push_density,
-    reconstruct_f,
     run_iteration,
     simpson_weights,
     velocity_grid,
@@ -41,6 +41,7 @@ from vpme_scatter.scheme import (
 )
 
 from conftest import EXPLORATORY_KLASS, THEOREM_KLASS
+from scattering_map import PhasePoint, reconstruct_f
 
 
 class TestSimpsonWeights:
@@ -250,22 +251,52 @@ class TestTransportedDatum:
         assert v.size * grid.nx > 2 * scheme.TRANSPORT_BLOCK
         X0, V0 = (a.ravel() for a in np.meshgrid(grid.nodes, v))
         T = hist.horizon
-        for t, f in zip(times, scheme.transported_datum(datum, hist, times, v)):
+        for t, (composed, f) in zip(times, scheme.transported_datum(datum, hist, times, v)):
             XT, VT = transport_to_horizon(hist, float(t), X0, V0, hist.dt / 4)
             whole = eval_f_star(datum, XT - T * VT, VT).reshape(v.size, grid.nx)
-            assert np.array_equal(f, whole)
+            assert not composed and np.array_equal(f, whole)
+
+
+def _exact_labels(history, t: float, v, substeps=4):
+    """Labels of the v x grid mesh at t, every characteristic carried to the horizon on its own."""
+    X0, V0 = (a.ravel() for a in np.meshgrid(history.grid.nodes, v))
+    XT, VT = transport_to_horizon(history, t, X0, V0, history.dt / substeps)
+    return XT - history.horizon * VT, VT
 
 
 def _transported_rows(datum, history, vmax, nv, substeps=4) -> np.ndarray:
-    """push_density's transported-row sums on every slice: a push that reads no closed-form row."""
+    """push_density's Simpson sums on every slice with each slice transported to the horizon on its own.
+
+    Only the rows push_density transports go through the characteristics; for
+    a reflection-symmetric datum the rows v < 0 are reflected from v > 0 as
+    push_density reflects them.  No slice is composed and no closed-form row
+    read.
+    """
     v, w = velocity_grid(vmax, nv)
-    return scheme._transported_rows(datum, history, history.times, v, w, substeps)
+    moving = scheme._transported_velocities(datum, v)
+    nx = history.grid.nx
+    mirror = -np.arange(nx) % nx
+    rows = []
+    for t in history.times:
+        f = eval_f_star(datum, *_exact_labels(history, float(t), moving, substeps))
+        f = f.reshape(moving.size, nx)
+        if moving.size < v.size:
+            f = np.vstack([f[:0:-1, mirror], f])
+        rows.append(w @ f)
+    return np.array(rows)
 
 
 def _full_mesh_rows(datum, history, vmax, nv) -> np.ndarray:
     """Simpson sums of transported_datum on the whole (nv + 1) x nx mesh of every slice."""
     v, w = velocity_grid(vmax, nv)
-    return np.array([w @ f for f in scheme.transported_datum(datum, history, history.times, v)])
+    slices = scheme.transported_datum(datum, history, history.times, v)
+    return np.array([w @ f for _, f in slices])
+
+
+def _assert_rows_match(pushed, composed, exact):
+    """Composed rows within 1e-13 of the exact rows (relative to them), every other row bit-identical."""
+    assert _relative_error(pushed, exact) <= 1e-13
+    assert np.array_equal(pushed[~composed], exact[~composed])
 
 
 def _run_without_reuse(datum, settings: RunSettings):
@@ -294,6 +325,78 @@ def _run_without_reuse(datum, settings: RunSettings):
 def _relative_error(got, want) -> float:
     got, want = np.asarray(got), np.asarray(want)
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _swept(datum, settings: RunSettings, sweeps: int = 1):
+    """(datum, history, vmax, nv) with the field history after the given number of sweeps."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        result = run_iteration(
+            datum, replace(settings, max_iterations=sweeps, fixed_point_tol=0.0)
+        )
+    return datum, result.field_history, result.vmax, settings.nv
+
+
+# The field histories of the composition oracles, as (datum, history, vmax, nv).
+_NX16 = RunSettings(nx=16, nv=256, nt=24, vmax=4.0, horizon=3.0, exploratory=True)
+_COMPOSITION_CASES = {
+    # The perfbench theorem-certify grid and a draw of its datum.
+    "theorem-certify": lambda: _swept(
+        make_gaussian_cosine_datum(7.5e-7, 17.0, THEOREM_KLASS), RunSettings(nx=256, nv=512, nt=100)
+    ),
+    "exploratory": lambda: _swept(
+        make_gaussian_cosine_datum(0.05, 1.0, EXPLORATORY_KLASS),
+        RunSettings(nx=128, nv=256, nt=100, vmax=8.0, horizon=3.0, exploratory=True),
+    ),
+    "quieting": lambda: (_datum("gaussian-cosine"), _quieting_history(), 6.0, 64),
+    # The history of test_run_iteration_equals_a_loop_without_reuse.
+    "nx16": lambda: _swept(_datum("gaussian-cosine", sigma=0.5), _NX16),
+    # The perfbench lingering grid: a field loud to the horizon.
+    "lingering": lambda: _swept(
+        make_gaussian_cosine_datum(1.0, 0.3, EXPLORATORY_KLASS),
+        RunSettings(nx=64, nv=64, nt=30, horizon=3.0, exploratory=True),
+    ),
+    "table": lambda: _swept(_datum("tabulated", sigma=0.5), _NX16, sweeps=2),
+}
+
+
+class TestComposition:
+    """push_density's composed labels and rows against every slice transported to the horizon on its own."""
+
+    @pytest.mark.parametrize(
+        "case, admits",
+        [("theorem-certify", True), ("exploratory", True), ("quieting", True),
+         ("nx16", True), ("lingering", False), ("table", False)],
+    )
+    def test_composed_labels_and_rows_match_a_full_transport(self, case, admits, monkeypatch):
+        datum, hist, vmax, nv = _COMPOSITION_CASES[case]()
+        v, _ = velocity_grid(vmax, nv)
+        moving = scheme._transported_velocities(datum, v)
+        n = scheme._transported_slices(hist)
+        labels = []
+
+        def recording(datum, x, v):
+            labels.append((np.array(x), np.array(v)))
+            return eval_f_star(datum, x, v)
+
+        monkeypatch.setattr(scheme, "eval_f_star", recording)
+        density = push_density(datum, hist, vmax, nv)
+        monkeypatch.undo()
+        composed = density.composed[:n]
+        assert composed.any() == admits and not composed[-1]
+        # The labels of a composed slice are within a few times the round-off
+        # of a label itself, eps (1 + vmax T), of the labels of a full transport.
+        floor = np.finfo(float).eps * (1.0 + vmax * hist.horizon)
+        blocks = len(scheme._row_blocks(moving.size, hist.grid.nx))
+        for k, i in enumerate(range(n - 1, -1, -1)):  # the push walks backward
+            if composed[i]:
+                got = labels[k * blocks : (k + 1) * blocks]
+                want = _exact_labels(hist, float(hist.times[i]), moving)
+                for part, exact in zip(zip(*got), want):
+                    assert np.max(np.abs(np.concatenate(part) - exact)) <= 16.0 * floor
+        # Composed rows within 1e-13 of a full transport; every other row is bit-identical.
+        exact = np.maximum(_transported_rows(datum, hist, vmax, nv)[:n], 0.0)
+        _assert_rows_match(density.rho[:n], composed, exact)
 
 
 class TestFreeStreamingRows:
@@ -350,18 +453,19 @@ class TestReflection:
         rows = []
         transport = scheme.transported_datum
 
-        def recording(datum, history, times, v, substeps):
+        def recording(datum, history, times, v, substeps, out=None):
             rows.append(v.size)
-            return transport(datum, history, times, v, substeps)
+            return transport(datum, history, times, v, substeps, out)
 
         monkeypatch.setattr(scheme, "transported_datum", recording)
-        pushed = push_density(datum, hist, vmax, nv).rho[:n]
+        density = push_density(datum, hist, vmax, nv)
+        pushed = density.rho[:n]
         if datum.reflection_symmetric:
             assert rows == [nv // 2 + 1]
             assert _relative_error(pushed, full) <= 1e-13
         else:
             assert rows == [nv + 1]
-            assert np.array_equal(pushed, full)
+            _assert_rows_match(pushed, density.composed[:n], full)
 
 
 class TestSweepCounters:
@@ -404,15 +508,17 @@ class TestFreeStreamingReuse:
         pushed = []
         transport = scheme.transported_datum
 
-        def recording(datum, history, times, v, substeps):
+        def recording(datum, history, times, v, substeps, out=None):
             pushed.extend(times)
-            return transport(datum, history, times, v, substeps)
+            return transport(datum, history, times, v, substeps, out)
 
         monkeypatch.setattr(scheme, "transported_datum", recording)
-        rho = push_density(datum, hist, 6.0, 64).rho
-        assert np.array_equal(rho[:n], np.maximum(transported[:n], 0.0))
+        density = push_density(datum, hist, 6.0, 64)
+        rho = density.rho
+        _assert_rows_match(rho[:n], density.composed[:n], np.maximum(transported[:n], 0.0))
         assert np.array_equal(rho[n:], np.maximum(closed[n:], 0.0))
-        assert pushed == list(hist.times[:n])
+        assert not density.composed[n:].any()
+        assert pushed == list(hist.times[:n][::-1])  # walked backward from the quiet time
         # On the zero field every slice is free streaming.
         pushed.clear()
         zero = push_density(datum, FieldHistory.zero(hist.times, hist.grid), 6.0, 64).rho
