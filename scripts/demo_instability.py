@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Demonstrate weak homogenization next to pointwise persistence.
+"""Demonstrate weak homogenization next to persistence in norm.
 
 For f* = mu(v)(1 + cos 2 pi x) the transported solution relaxes weakly to
 the homogeneous profile mu (every smooth test function sees a vanishing
-gap), yet the pointwise gap sup_{x,v} |f(t, x, v) - mu(v)| on the same
-transported slices never shrinks: the cosine mixes in phase space without
-decaying pointwise.  This is the mechanism behind
-stationary solutions that are unstable in the weak topology.
+gap), yet the L2 gap ||f(t) - mu|| on the same transported slices never
+shrinks: the flow conserves the integral of f^2, so the gap stays at
+||f* - mu|| while the cosine mixes in phase space.  This is the mechanism
+behind stationary solutions that are unstable in the weak topology.
 """
 
 import sys

@@ -43,7 +43,10 @@ import numpy as np
 from .errors import IntegrationError, OutOfRangeError, ParameterError
 from .poisson import FieldSlice, SpatialGrid
 
-DEFAULT_SUBSTEPS = 4
+# Nystrom steps per time slice.  FieldHistory.sample is linear in t between
+# time nodes, so the time grid, not this count, sets how well the flow is
+# resolved.
+SUBSTEPS = 4
 
 
 def _cubic_coefficients(E: np.ndarray) -> np.ndarray:
@@ -95,8 +98,8 @@ class FieldHistory:
 
     Derived on construction, read-only: E = Ebar + Etilde, which must be
     finite, coef, the (times, 4, nx + 1) cubic cell coefficients of E that
-    sample evaluates, the floats t0, horizon and dt, and the default
-    quiet_time(), which every transport of a block asks for.  A
+    sample evaluates, the floats t0, horizon and dt, and quiet_time(),
+    which every transport of a block asks for.  A
     history assembled from solved slices (from_slices, hence every field_update)
     also keeps their potentials Ubar and Utilde, read-only, so a converged run
     can be certified without solving a slice again; a history built from the
@@ -138,10 +141,10 @@ class FieldHistory:
         object.__setattr__(self, "coef", _cubic_coefficients(self.E))
         self.coef.setflags(write=False)
         span = max(1.0, self.horizon - self.t0)
-        peak = float(np.max(np.abs(self.E)))
-        object.__setattr__(
-            self, "_default_quiet_time", self.quiet_time(max(1e-14 / span, 1e-8 * peak))
-        )
+        sup = np.max(np.abs(self.E), axis=1)
+        loud = np.nonzero(sup > max(1e-14 / span, 1e-8 * float(np.max(sup))))[0]
+        quiet = self.times[min(loud[-1] + 1, times.size - 1)] if loud.size else self.t0
+        object.__setattr__(self, "_quiet_time", float(quiet))
 
     @classmethod
     def zero(cls, times: np.ndarray, grid: SpatialGrid) -> "FieldHistory":
@@ -159,22 +162,16 @@ class FieldHistory:
             Utilde=np.vstack([s.Utilde for s in slices]),
         )
 
-    def quiet_time(self, threshold: float | None = None) -> float:
-        """Earliest grid time after which every slice stays below the threshold.
+    def quiet_time(self) -> float:
+        """Earliest grid time after which every slice stays below the quiet threshold.
 
-        The default threshold keeps the neglected velocity impulse below 1e-14
-        over the remaining span and sits eight decades under the peak
-        amplitude, so it also clears the round-off floor (~1e-15) the Poisson
-        solves leave at long times.
+        The threshold, max(1e-14 / span, 1e-8 peak), keeps the neglected
+        velocity impulse below 1e-14 over the remaining span and sits eight
+        decades under the peak amplitude, so it also clears the round-off
+        floor (~1e-15) the Poisson solves leave at long times.  It is found
+        once, when the history is made.
         """
-        if threshold is None:
-            return self._default_quiet_time
-        sup = np.max(np.abs(self.E), axis=1)
-        loud = np.nonzero(sup > threshold)[0]
-        if loud.size == 0:
-            return self.t0
-        idx = min(loud[-1] + 1, self.times.size - 1)
-        return float(self.times[idx])
+        return self._quiet_time
 
     def sample(self, t: float, x: np.ndarray) -> np.ndarray:
         """E(t, x): cubic periodic interpolation in x, linear in t; zero past the horizon.

@@ -208,7 +208,6 @@ def run_command(config: RunConfig, out_dir: Path) -> int:
         [float(history.times[i]) for i in idx],
         vmax=result.vmax,
         nv=min(config.settings.nv, 512),
-        substeps=config.settings.ode_substeps,
     )
     lip = lipschitz_estimate(history)
     cert = certify(result, datum, decay)
@@ -268,8 +267,8 @@ def demo_instability_command(config: RunConfig, out_dir: Path) -> int:
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"class membership of mu(v)(1+cos 2 pi x): {'pass' if report.member else 'fail'}"]
-    for t, gap in report.weak_report.sup_gaps:
-        lines.append(f"pointwise gap sup |f - mu| t={_fmt(t)}: {_fmt(gap)}")
+    for t, gap in report.weak_report.l2_gaps:
+        lines.append(f"L2 gap ||f - mu|| t={_fmt(t)}: {_fmt(gap)}")
     for tid, t, gap in report.weak_report.entries:
         lines.append(f"weak gap {tid} t={_fmt(t)}: {_fmt(gap)}")
     lines.append(report.narrative)

@@ -1,6 +1,8 @@
 """Run configuration: YAML parsing, validation, and serialization.
 
 The numerics of a run are one ``RunSettings``; its fields carry the defaults.
+A section or key the parser does not read is refused, so a misspelt or
+retired key cannot silently leave a setting at its default.
 """
 
 from __future__ import annotations
@@ -26,11 +28,17 @@ SETTINGS_KEYS = (
     ("grid", "nt", "nt", int),
     ("grid", "vmax", "vmax", float),
     ("grid", "T", "horizon", float),
-    ("solver", "newton_tol", "newton_tol", float),
-    ("solver", "ode_substeps", "ode_substeps", int),
     ("solver", "fixed_point_tol", "fixed_point_tol", float),
     ("solver", "max_iterations", "max_iterations", int),
 )
+# The keys of the other sections: the datum's by family, the class parameters
+# and the run's.
+DATUM_KEYS = {
+    "gaussian-cosine": ("family", "amplitude", "sigma"),
+    "tabulated-grid": ("family", "path"),
+}
+CLASS_KEYS = ("a", "a1", "a2", "alpha", "t0")
+RUN_KEYS = ("mode", "out", "seed")
 
 
 @dataclass(frozen=True)
@@ -87,10 +95,25 @@ def _check_settings(s: RunSettings, klass: ClassParameters) -> None:
         raise ConfigError("grid.vmax must be positive", key="grid.vmax")
     if s.horizon is not None and s.horizon <= klass.t0:
         raise ConfigError("T must exceed class.t0", key="T")
-    if s.newton_tol <= 0 or s.fixed_point_tol <= 0:
-        raise ConfigError("solver tolerances must be positive", key="solver.newton_tol")
-    if s.ode_substeps < 1 or s.max_iterations < 1:
-        raise ConfigError("solver counts must be >= 1", key="solver.ode_substeps")
+    if s.fixed_point_tol <= 0:
+        raise ConfigError("solver.fixed_point_tol must be positive", key="solver.fixed_point_tol")
+    if s.max_iterations < 1:
+        raise ConfigError("solver.max_iterations must be >= 1", key="solver.max_iterations")
+
+
+def _refuse_unknown_keys(doc: dict, family: str) -> None:
+    """Raise ConfigError naming the first section or dotted key the parser does not read."""
+    known = {"datum": DATUM_KEYS[family], "class": CLASS_KEYS, "run": RUN_KEYS}
+    for section, key, _, _ in SETTINGS_KEYS:
+        known[section] = known.get(section, ()) + (key,)
+    for name, section in doc.items():
+        if name not in known:
+            raise ConfigError(f"unknown section {name!r}", key=str(name))
+        if section is not None and not isinstance(section, dict):
+            raise ConfigError(f"section {name!r} must be a mapping", key=str(name))
+        for key in section or {}:
+            if key not in known[name]:
+                raise ConfigError(f"unknown key {name}.{key}", key=f"{name}.{key}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -108,8 +131,9 @@ def parse_config(text: str) -> RunConfig:
 
     d = doc["datum"]
     family = _get(d, "datum", "family", str)
-    if family not in ("gaussian-cosine", "tabulated-grid"):
+    if family not in DATUM_KEYS:
         raise ConfigError(f"unknown datum.family {family!r}", key="datum.family")
+    _refuse_unknown_keys(doc, family)
     if family == "gaussian-cosine":
         datum = DatumSpec(
             family=family,
@@ -121,13 +145,7 @@ def parse_config(text: str) -> RunConfig:
 
     c = doc["class"]
     try:
-        klass = ClassParameters(
-            a=_get(c, "class", "a", float),
-            a1=_get(c, "class", "a1", float),
-            a2=_get(c, "class", "a2", float),
-            alpha=_get(c, "class", "alpha", float),
-            t0=_get(c, "class", "t0", float),
-        )
+        klass = ClassParameters(**{key: _get(c, "class", key, float) for key in CLASS_KEYS})
     except ParameterError as exc:
         raise ConfigError(f"class parameters invalid: {exc}", key="class") from exc
 
@@ -159,13 +177,7 @@ def serialize_config(config: RunConfig) -> str:
     """Render a RunConfig back to YAML; parse(serialize(parse(x))) is the identity."""
     doc: dict = {
         "datum": {"family": config.datum.family},
-        "class": {
-            "a": config.klass.a,
-            "a1": config.klass.a1,
-            "a2": config.klass.a2,
-            "alpha": config.klass.alpha,
-            "t0": config.klass.t0,
-        },
+        "class": {key: getattr(config.klass, key) for key in CLASS_KEYS},
         "run": {"mode": config.mode, "seed": config.seed},
     }
     if config.datum.family == "gaussian-cosine":

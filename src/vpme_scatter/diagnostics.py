@@ -3,13 +3,14 @@
 Covers the exponential decay envelope of the field, the certificate of the
 paper's guarantees, weak convergence of the transported datum to its spatial
 average, the spatial Lipschitz constant of the field, and the weak-instability
-construction (weak gaps shrink while the pointwise gap does not).
+construction (weak gaps shrink while the L2 gap does not).
 
 certify is the one check of the guarantees: it reads the run's own arrays
 (norm trace, density, and the potentials the last field update solved) and
-solves nothing again.  The weak gaps and the pointwise gap sup |f(t) - h| read
-the same transported_datum slices (scheme.transported_datum, as the density
-does).
+solves nothing again.  The weak gaps and the L2 gap ||f(t) - h|| are
+quadratures of the same whole slices of scheme.transported_datum, as the
+density is; for a reflection-symmetric datum that transports only the rows
+v >= 0 of each slice.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .asymptotic import (
     make_gaussian_cosine_datum,
     validate_class_membership,
 )
-from .characteristics import DEFAULT_SUBSTEPS, FieldHistory, transport_to_horizon
+from .characteristics import FieldHistory, transport_to_horizon
 from .errors import ParameterError
 from .poisson import BoundsReport, verify_potential_bounds
 from .scheme import (
@@ -123,12 +124,11 @@ class Certificate:
 class WeakConvergenceReport:
     """Weak gaps |<phi, f(t)> - <phi, h>| per test function and time.
 
-    sup_gaps holds the pointwise gap sup_{x,v} |f(t) - h(v)| of the same
-    slices, per time.
+    l2_gaps holds the L2 gap ||f(t) - h|| of the same slices, per time.
     """
 
     entries: list  # (test id, time, gap)
-    sup_gaps: list  # (time, pointwise gap)
+    l2_gaps: list  # (time, L2 gap)
 
     def gaps_for(self, test_id: str) -> list[tuple[float, float]]:
         return [(t, g) for (i, t, g) in self.entries if i == test_id]
@@ -142,10 +142,10 @@ class WeakConvergenceReport:
 
 @dataclass
 class InstabilityReport:
-    """Coexistence of weak relaxation and a persistent pointwise gap.
+    """Coexistence of weak relaxation and a persistent L2 gap.
 
-    The weak gaps and the pointwise gaps sup_{x,v} |f(t) - h(v)| are both in
-    weak_report, at the same times.
+    The weak gaps and the L2 gaps ||f(t) - h|| are both in weak_report, at
+    the same times.
     """
 
     member: bool
@@ -239,20 +239,19 @@ def default_test_set() -> dict[str, callable]:
 
 
 def weak_convergence_gap(
-    datum: AsymptoticDatum,
-    history: FieldHistory,
-    times,
-    vmax: float = 8.0,
-    nv: int = 256,
-    substeps: int = DEFAULT_SUBSTEPS,
+    datum: AsymptoticDatum, history: FieldHistory, times, vmax: float = 8.0, nv: int = 256
 ) -> WeakConvergenceReport:
     """Gaps |<phi, f(t)> - <phi, h>| of the default test functions at each time.
 
     f(t) is the transported_datum slice and h the spatial average of the
     datum; x uses the trapezoid rule on the periodic grid, v composite Simpson
     on the velocity_grid of [-vmax, vmax].  Each phi and its <phi, h> are
-    evaluated once on the mesh.  The same slice gives the pointwise gap
-    sup_{x,v} |f(t) - h(v)| over the mesh.
+    evaluated once on the mesh.  The same slice gives the L2 gap
+    ||f(t) - h|| = sqrt(sum_k w_k mean_x (f - h)^2).  The flow conserves the
+    integral of f^2 and <f(t), h> tends to ||h||^2, so the L2 gap tends to
+    ||f* - h||, which is also its value under free flight.  It does not relax
+    as the weak gaps do, and a slice transported wrongly anywhere on the mesh
+    moves it.
     """
     nx = history.grid.nx
     v, wv = velocity_grid(vmax, nv)
@@ -262,13 +261,14 @@ def weak_convergence_gap(
     for tid, phi in default_test_set().items():
         pv = phi(X, V)
         tests.append((tid, pv, float(np.sum(np.mean(pv, axis=1) * hv * wv))))
-    entries, sup_gaps = [], []
-    for t, (_, f) in zip(times, transported_datum(datum, history, times, v, substeps)):
+    entries, l2_gaps = [], []
+    for t, (_, f) in zip(times, transported_datum(datum, history, times, v)):
         for tid, pv, rhs in tests:
             lhs = float(np.sum(pv * f * wv[:, None])) / nx
             entries.append((tid, float(t), abs(lhs - rhs)))
-        sup_gaps.append((float(t), float(np.max(np.abs(f - hv[:, None])))))
-    return WeakConvergenceReport(entries=entries, sup_gaps=sup_gaps)
+        square = np.mean((f - hv[:, None]) ** 2, axis=1)
+        l2_gaps.append((float(t), math.sqrt(float(wv @ square))))
+    return WeakConvergenceReport(entries=entries, l2_gaps=l2_gaps)
 
 
 def lipschitz_estimate(history: FieldHistory) -> float:
@@ -288,10 +288,9 @@ def instability_report(
     mu is the Gaussian mu(v) = mu_amplitude * g_sigma(v); it must satisfy the
     halved velocity-tail bound |mu| <= a2 / (2 (1 + v^4)), which the doubled
     profile then meets.  At six times spread over the history, the weak gaps
-    against h = mu should shrink with time, while the pointwise gap
-    sup_{x,v} |f(t, x, v) - mu(v)| on the same transported slices stays
-    bounded below: the cosine mixes in phase space but never relaxes
-    pointwise.
+    against h = mu should shrink with time, while the L2 gap ||f(t) - mu|| on
+    the same transported slices stays near ||f* - mu||: the cosine mixes in
+    phase space but never relaxes in norm.
     """
     if mu_amplitude <= 0.0 or mu_sigma <= 0.0:
         raise ParameterError("mu amplitude and width must be positive")
@@ -309,6 +308,5 @@ def instability_report(
         [float(history.times[i]) for i in idx],
         vmax=result.vmax,
         nv=min(settings.nv, 512),
-        substeps=settings.ode_substeps,
     )
     return InstabilityReport(member=membership.member, weak_report=weak, scheme=result)

@@ -302,12 +302,10 @@ def solve_nonlinear(
     return U, Etilde
 
 
-def make_field_slice(
-    rho: np.ndarray, grid: SpatialGrid, newton_tol: float = NEWTON_TOL
-) -> FieldSlice:
+def make_field_slice(rho: np.ndarray, grid: SpatialGrid) -> FieldSlice:
     """Run the linear and nonlinear solves for one density slice."""
     Ubar, Ebar = solve_linear(rho, grid)
-    Utilde, Etilde = solve_nonlinear(Ubar, grid, tol=newton_tol)
+    Utilde, Etilde = solve_nonlinear(Ubar, grid)
     return FieldSlice(Ubar=Ubar, Utilde=Utilde, Ebar=Ebar, Etilde=Etilde)
 
 

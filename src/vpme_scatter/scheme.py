@@ -18,10 +18,11 @@ start, so it transports nothing.
 
 A reflection-symmetric datum, f*(-x, -v) = f*(x, v) (the gaussian-cosine
 family; tables are not assumed to be), has a field odd in x, so the flow
-commutes with R(x, v) = (-x, -v) and f(t) o R = f(t) on every slice.  On the
-mirror-symmetric velocity lattice of velocity_grid a push then transports only
-the rows v >= 0 of a slice, (nv/2 + 1) nx points, and reads each row -v_k from
-row v_k at the mirrored x nodes.
+commutes with R(x, v) = (-x, -v) and f(t) o R = f(t) on every slice.  On an
+exact mirror lattice of odd size, such as velocity_grid gives,
+transported_datum then transports only the rows v >= 0 of a slice,
+(nv/2 + 1) nx points, and reads each row -v_k from row v_k at the mirrored x
+nodes; the density push and the weak gaps get whole slices either way.
 
 The labels of consecutive slices compose, l_i = l_{i+1} o Phi_{t_i -> t_{i+1}},
 as in characteristic-mapping methods (Yin, Mercier, Yadav, Schneider and
@@ -55,14 +56,14 @@ from .asymptotic import (
     validate_class_membership,
 )
 from .characteristics import (
-    DEFAULT_SUBSTEPS,
+    SUBSTEPS,
     FieldHistory,
     nystrom_steps,
     transport_to,
     transport_to_horizon,
 )
 from .errors import DomainError, ParameterError, SolverDivergenceError
-from .poisson import NEWTON_TOL, SpatialGrid, make_field_slice
+from .poisson import SpatialGrid, make_field_slice
 
 MAX_ITERATIONS = 30
 FIXED_POINT_RTOL = 1e-9
@@ -152,7 +153,7 @@ def velocity_grid(vmax: float, nv: int) -> tuple[np.ndarray, np.ndarray]:
 
     The nodes are exact mirror images, v[::-1] == -v, with v[0] = -vmax and
     v[-1] = vmax; np.linspace(-vmax, vmax, nv + 1) does not guarantee the
-    mirror symmetry, which the reflection of push_density needs.
+    mirror symmetry, which the reflection of transported_datum needs.
     """
     w = simpson_weights(nv, 2.0 * vmax / nv)
     m = nv // 2
@@ -212,19 +213,12 @@ def _composition_error(
     return displacement + max(float(D.max()), -float(D.min())) * interpolation
 
 
-def transported_datum(
-    datum: AsymptoticDatum,
-    history: FieldHistory,
-    times,
-    v: np.ndarray,
-    substeps: int = DEFAULT_SUBSTEPS,
-    out: np.ndarray | None = None,
-):
+def transported_datum(datum: AsymptoticDatum, history: FieldHistory, times, v: np.ndarray):
     """Yield (composed, f), f the transported datum on the v x grid mesh, for each t in times.
 
     f(t) = f* o l_t, where the label l_t(x, v) = (X(T) - T V(T), V(T)) is the
     horizon state of the characteristic through (x, v) at t, carried with
-    Nystrom step history.dt / substeps.  Labels compose: l_t = l_s o Phi_{t->s}
+    Nystrom step history.dt / SUBSTEPS.  Labels compose: l_t = l_s o Phi_{t->s}
     for s > t.  So when times are walked backward (as push_density walks
     them), a slice may be composed from the slice yielded before it, at s:
     the mesh is transported to s only (characteristics.transport_to), and its
@@ -239,20 +233,32 @@ def transported_datum(
     their own (characteristics.transport_to_horizon); composed is False for
     them.
 
-    Both kinds of slice go through the same equal blocks of whole velocity
-    rows (_row_blocks); every operation on the way is per point or per row,
-    so a slice is bit-identical to one whole-mesh computation.  Each f has
-    shape (v.size, nx) and is the same array (out, if given): a slice is
-    valid until the next one is yielded.
+    Only the _transported_velocities rows go through the characteristics.
+    For a reflection-symmetric datum on an exact mirror lattice of odd size
+    (v[::-1] == -v, as velocity_grid gives) those are the rows v >= 0, and
+    each row v_{n-k} = -v_k is filled from row k at x index (-j) % nx.  That
+    reflection is exact only when the history's field is odd in x,
+    E(t, -x) = -E(t, x); every iterate of run_iteration on such a datum is,
+    to solver round-off.
+
+    The transported rows go through equal blocks of whole velocity rows
+    (_row_blocks); every operation on the way is per point or per row, so
+    they are bit-identical to one whole-mesh computation.  Each f has shape
+    (v.size, nx) and is the same array: a slice is valid until the next one
+    is yielded.
     """
     x = history.grid.nodes
     nx = x.size
-    step = history.dt / substeps
+    step = history.dt / SUBSTEPS
     T = history.horizon
-    f = np.empty((v.size, nx)) if out is None else out
-    D = np.empty((2, v.size, nx))
-    blocks = _row_blocks(v.size, nx)
-    floor = np.finfo(float).eps * (1.0 + float(np.max(np.abs(v))) * T)
+    f = np.empty((v.size, nx))
+    moving = _transported_velocities(datum, v)
+    half = v.size - moving.size
+    g = f[half:]  # the transported rows
+    mirror = -np.arange(nx) % nx
+    D = np.empty((2, moving.size, nx))
+    blocks = _row_blocks(moving.size, nx)
+    floor = np.finfo(float).eps * (1.0 + float(np.max(np.abs(moving))) * T)
     interpolation = _interpolation_ratios(history)
     field_max = np.max(np.abs(history.E), axis=1)
     modes = np.arange(nx // 2 + 1)
@@ -263,24 +269,27 @@ def transported_datum(
             i = max(int(np.searchsorted(history.times, t, side="right")) - 1, 0)
             j = min(int(np.searchsorted(history.times, later)), history.times.size - 1)
             error = _composition_error(
-                D, v, later - t, float(field_max[i : j + 1].max()),
+                D, moving, later - t, float(field_max[i : j + 1].max()),
                 float(interpolation[min(i, interpolation.size - 1)]),
             )
             composed = error <= floor
         for rows in blocks:
-            X0, V0 = np.tile(x, v[rows].size), np.repeat(v[rows], nx)
+            X0, V0 = np.tile(x, moving[rows].size), np.repeat(moving[rows], nx)
             if composed:
                 X, V = transport_to(history, t, later, X0, V0, step)
-                phase = np.exp((2j * np.pi * (later - t)) * np.outer(v[rows], modes))
+                phase = np.exp((2j * np.pi * (later - t)) * np.outer(moving[rows], modes))
                 shifted = np.fft.irfft(np.fft.rfft(D[:, rows]) * phase, n=nx)
                 LX = X - later * V + shifted[0].ravel()
                 V = V + shifted[1].ravel()
             else:
                 X, V = transport_to_horizon(history, t, X0, V0, step)
                 LX = X - T * V
-            f[rows] = eval_f_star(datum, LX, V).reshape(-1, nx)
+            g[rows] = eval_f_star(datum, LX, V).reshape(-1, nx)
             D[0, rows] = (LX - (X0 - t * V0)).reshape(-1, nx)
             D[1, rows] = (V - V0).reshape(-1, nx)
+        if half:
+            # mirror is in range, so "clip" reads what "raise" would, without its buffered copy.
+            np.take(f[:half:-1], mirror, axis=1, out=f[:half], mode="clip")
         later = t
         yield composed, f
 
@@ -291,42 +300,13 @@ def _transported_slices(history: FieldHistory) -> int:
 
 
 def _transported_velocities(datum: AsymptoticDatum, v: np.ndarray) -> np.ndarray:
-    """Velocity rows a push transports: v >= 0 of a reflection-symmetric datum, else all of v."""
-    return v[v.size // 2 :] if datum.reflection_symmetric else v
+    """Velocity rows transported_datum transports; it reads the others by reflection.
 
-
-def _transported_rows(
-    datum: AsymptoticDatum,
-    history: FieldHistory,
-    times,
-    v: np.ndarray,
-    w: np.ndarray,
-    substeps: int = DEFAULT_SUBSTEPS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """sum_k w_k f(t_i, x_j, v_k) of transported_datum on every (t_i, x_j), and which slices it composed.
-
-    The slices are walked backward, from the last time, so that each may be
-    composed from the next.  Only the _transported_velocities rows go through
-    the characteristics, straight into their rows of one slice buffer.  For a
-    reflection-symmetric datum, on the mirror-symmetric v of velocity_grid,
-    the rows v_{nv-k} = -v_k are then filled from row k at x index (-j) % nx
-    before the Simpson sum w @ f is taken.
+    v >= 0 for a reflection-symmetric datum on an exact mirror lattice of odd
+    size (an even size has no row v = 0), all of v otherwise.
     """
-    nx = history.grid.nx
-    mirror = -np.arange(nx) % nx
-    rho = np.empty((len(times), nx))
-    composed = np.zeros(len(times), dtype=bool)
-    f = np.empty((v.size, nx))
-    moving = _transported_velocities(datum, v)
-    half = v.size - moving.size
-    slices = transported_datum(datum, history, times[::-1], moving, substeps, out=f[half:])
-    for i, (from_next, _) in zip(range(len(times) - 1, -1, -1), slices):
-        composed[i] = from_next
-        if half:
-            # mirror is in range, so "clip" reads what "raise" would, without its buffered copy.
-            np.take(f[:half:-1], mirror, axis=1, out=f[:half], mode="clip")
-        rho[i] = w @ f
-    return rho, composed
+    mirrored = v.size % 2 == 1 and np.array_equal(v[::-1], -v)
+    return v[v.size // 2 :] if datum.reflection_symmetric and mirrored else v
 
 
 def _free_streaming_rows(
@@ -354,19 +334,15 @@ def _free_streaming_rows(
 
 
 def push_density(
-    datum: AsymptoticDatum,
-    history: FieldHistory,
-    vmax: float,
-    nv: int,
-    substeps: int = DEFAULT_SUBSTEPS,
+    datum: AsymptoticDatum, history: FieldHistory, vmax: float, nv: int
 ) -> DensityHistory:
     """Density of the transported datum on every (time, space) node.
 
     rho(t_i, x_j) = sum_k w_k f(t_i, x_j, v_k), the composite Simpson sum over
     the truncated velocity grid (velocity_grid): of each transported_datum
-    slice before the history's quiet time (_transported_rows), and of the
-    free-streaming datum f*(x - v t, v) at or past it, where every
-    characteristic is free flight (_free_streaming_rows).
+    slice before the history's quiet time, and of the free-streaming datum
+    f*(x - v t, v) at or past it, where every characteristic is free flight
+    (_free_streaming_rows).
 
     The slices before the quiet time are walked backward from the last one,
     which is transported to the quiet time.  Each earlier slice is transported
@@ -375,26 +351,25 @@ def push_density(
     stays below the round-off of a label, eps (1 + vmax T); the others are
     transported to the quiet time on their own (transported_datum has the
     composition and its admission test).  Which slices were composed is
-    recorded in the result's composed.
-
-    For a reflection-symmetric datum only the rows v >= 0 of a slice are
-    transported and the rows v < 0 are read by reflection.  That is exact only
-    when the history's field is odd in x, E(t, -x) = -E(t, x); every iterate of
-    run_iteration on such a datum is, to solver round-off.
+    recorded in the result's composed.  For a reflection-symmetric datum
+    transported_datum transports only the rows v >= 0 of a slice.
     """
     v, w = velocity_grid(vmax, nv)
     times = history.times
     n = _transported_slices(history)
     rho = np.empty((times.size, history.grid.nx))
     composed = np.zeros(times.size, dtype=bool)
-    rho[:n], composed[:n] = _transported_rows(datum, history, times[:n], v, w, substeps)
+    slices = transported_datum(datum, history, times[:n][::-1], v)
+    for i, (from_next, f) in zip(range(n - 1, -1, -1), slices):
+        composed[i] = from_next
+        rho[i] = w @ f
     rho[n:] = _free_streaming_rows(datum, times[n:], history.grid.nodes, v, w)
     np.maximum(rho, 0.0, out=rho)  # clip negative round-off from quadrature
     mass = rho.mean(axis=1)
     return DensityHistory(times=times, rho=rho, mass=mass, composed=composed)
 
 
-def _sampled_points(history: FieldHistory, composed: np.ndarray, mesh: int, substeps: int) -> int:
+def _sampled_points(history: FieldHistory, composed: np.ndarray, mesh: int) -> int:
     """Field samples taken by push_density's transport, mesh points per slice.
 
     A slice before the quiet time takes the Nystrom steps to the next slice if
@@ -402,7 +377,7 @@ def _sampled_points(history: FieldHistory, composed: np.ndarray, mesh: int, subs
     """
     times = history.times
     tq = history.quiet_time()
-    step = history.dt / substeps
+    step = history.dt / SUBSTEPS
     n = _transported_slices(history)
     steps = sum(
         nystrom_steps((times[i + 1] if composed[i] else tq) - times[i], step) for i in range(n)
@@ -410,9 +385,7 @@ def _sampled_points(history: FieldHistory, composed: np.ndarray, mesh: int, subs
     return 3 * steps * mesh
 
 
-def field_update(
-    density: DensityHistory, grid: SpatialGrid, newton_tol: float = NEWTON_TOL
-) -> FieldHistory:
+def field_update(density: DensityHistory, grid: SpatialGrid) -> FieldHistory:
     """Solve the split Poisson problem on every slice and assemble the new field.
 
     The history keeps each slice's Ubar and Utilde beside the field.
@@ -420,7 +393,7 @@ def field_update(
     slices = []
     for i in range(density.times.size):
         try:
-            slices.append(make_field_slice(density.rho[i], grid, newton_tol=newton_tol))
+            slices.append(make_field_slice(density.rho[i], grid))
         except (ParameterError, DomainError, SolverDivergenceError) as exc:
             exc.args = (f"slice {i} (t={density.times[i]:g}): {exc}",)
             raise
@@ -455,8 +428,6 @@ class RunSettings:
     nt: int = 200
     vmax: float | None = None
     horizon: float | None = None
-    newton_tol: float = NEWTON_TOL
-    ode_substeps: int = DEFAULT_SUBSTEPS
     fixed_point_tol: float = FIXED_POINT_RTOL
     max_iterations: int = MAX_ITERATIONS
     exploratory: bool = False
@@ -516,9 +487,9 @@ def run_iteration(
     tol = None
     for n in range(1, settings.max_iterations + 1):
         start = time.perf_counter()
-        density = push_density(datum, history, vmax, settings.nv, settings.ode_substeps)
+        density = push_density(datum, history, vmax, settings.nv)
         pushed = time.perf_counter()
-        new_history = field_update(density, grid, newton_tol=settings.newton_tol)
+        new_history = field_update(density, grid)
         updated = time.perf_counter()
         transported = _transported_slices(history)
         result.sweeps.append(
@@ -528,9 +499,7 @@ def run_iteration(
                 reused=times.size - transported,
                 composed=int(density.composed.sum()),
                 mesh_points=mesh,
-                sampled_points=_sampled_points(
-                    history, density.composed, mesh, settings.ode_substeps
-                ),
+                sampled_points=_sampled_points(history, density.composed, mesh),
                 push_s=pushed - start,
                 update_s=updated - pushed,
             )

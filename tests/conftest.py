@@ -6,7 +6,8 @@ amplitude); the "exploratory" run uses order-one parameters where the field
 is numerically visible and contraction is reported rather than guaranteed.
 Each run's certificate is read from its own solved slices.
 UniformDecayField, a field with closed-form trajectories, and SineDecayField,
-a closed-form field that depends on x, serve the integrator tests.
+a closed-form field that depends on x, serve the integrator tests;
+datum_l2_gap is the value the L2 gaps of the weak-gap report tend to.
 """
 
 from __future__ import annotations
@@ -19,9 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from vpme_scatter.asymptotic import ClassParameters, make_gaussian_cosine_datum
+from vpme_scatter.asymptotic import (
+    ClassParameters,
+    eval_f_star,
+    h_limit,
+    make_gaussian_cosine_datum,
+)
 from vpme_scatter.diagnostics import certify, decay_fit, instability_report
-from vpme_scatter.scheme import RunSettings, default_horizon, run_iteration
+from vpme_scatter.scheme import RunSettings, default_horizon, run_iteration, velocity_grid
 
 # Order-one parameters: visible field, outside the contraction-guarantee regime.
 EXPLORATORY_KLASS = ClassParameters(a=2.0, a1=2.7, a2=0.1, alpha=0.5, t0=0.7)
@@ -52,7 +58,7 @@ class UniformDecayField:
     def t0(self) -> float:
         return self.t_start
 
-    def quiet_time(self, threshold: float | None = None) -> float:
+    def quiet_time(self) -> float:
         return self.horizon
 
     def sample(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -89,7 +95,7 @@ class SineDecayField:
     def t0(self) -> float:
         return self.t_start
 
-    def quiet_time(self, threshold: float | None = None) -> float:
+    def quiet_time(self) -> float:
         return self.horizon
 
     def sample(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -101,6 +107,13 @@ class SineDecayField:
     def rhs(self, t: float, y):
         """(X, V)' = (V, E(t, X))."""
         return [y[1], self.amplitude * math.exp(-t) * math.sin(2.0 * math.pi * y[0])]
+
+
+def datum_l2_gap(datum, nx: int, vmax: float, nv: int) -> float:
+    """||f* - h|| = sqrt(sum_k w_k mean_x (f* - h)^2) on the nx x velocity_grid mesh."""
+    v, w = velocity_grid(vmax, nv)
+    f = eval_f_star(datum, np.arange(nx)[None, :] / nx, v[:, None])
+    return math.sqrt(float(w @ np.mean((f - h_limit(datum, v)[:, None]) ** 2, axis=1)))
 
 
 # Wall-clock seconds of the shared reference runs, keyed by run name.

@@ -13,7 +13,7 @@ import numpy as np
 
 from vpme_scatter.asymptotic import AsymptoticDatum, eval_f_star
 from vpme_scatter.characteristics import (
-    DEFAULT_SUBSTEPS,
+    SUBSTEPS,
     FieldHistory,
     _nystrom_span,
     transport_to_horizon,
@@ -66,7 +66,7 @@ def sample_field(history: FieldHistory, t: float, x) -> float | np.ndarray:
 
 
 def flow_from_label(
-    label: PhaseLabel, history: FieldHistory, t: float, substeps: int = DEFAULT_SUBSTEPS
+    label: PhaseLabel, history: FieldHistory, t: float, substeps: int = SUBSTEPS
 ) -> PhasePoint:
     """(X(t), V(t)) of the trajectory with asymptotic label (x, v)."""
     _check_time(history, t)
@@ -79,7 +79,7 @@ def flow_from_label(
 
 
 def label_from_point(
-    point: PhasePoint, history: FieldHistory, substeps: int = DEFAULT_SUBSTEPS
+    point: PhasePoint, history: FieldHistory, substeps: int = SUBSTEPS
 ) -> PhaseLabel:
     """Asymptotic label of the trajectory through (x, v) at time t (the inverse flow)."""
     _check_time(history, point.t)

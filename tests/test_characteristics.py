@@ -207,8 +207,6 @@ class TestFieldHistory:
         # Default threshold is 1e-8 of the peak: crossing near t = ln(1e8)/8.
         assert 0.0 < tq < hist.horizon
         assert tq == pytest.approx(math.log(1e8) / 8.0, abs=0.2)
-        # Explicit thresholds move the crossing accordingly.
-        assert hist.quiet_time(threshold=0.5) < hist.quiet_time(threshold=1e-12)
 
     def test_scalar_sampling_helper(self):
         hist = _cosine_history()

@@ -59,7 +59,7 @@ class TestParsing:
         cfg = parse_config(MINIMAL)
         assert cfg.settings.nx == RunSettings.nx
         assert cfg.settings.nv == RunSettings.nv
-        assert cfg.settings.newton_tol == RunSettings.newton_tol
+        assert cfg.settings.fixed_point_tol == RunSettings.fixed_point_tol
         assert cfg.mode == "theorem"
         assert cfg.settings.vmax is None and cfg.settings.horizon is None
 
@@ -88,6 +88,36 @@ class TestParsing:
         with pytest.raises(ConfigError) as exc:
             parse_config(MINIMAL + "grid:\n  T: 0.5\n")
         assert exc.value.key == "T"
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ("grid:\n  nV: 128\n", "grid.nV"),  # misspelt
+            ("solver:\n  ode_substeps: 8\n", "solver.ode_substeps"),  # retired
+            ("solver:\n  newton_tol: 1.0e-12\n", "solver.newton_tol"),  # retired
+            ("solvr:\n  max_iterations: 5\n", "solvr"),  # unknown section
+            ("run:\n  moed: exploratory\n", "run.moed"),
+        ],
+    )
+    def test_unread_keys_refused(self, extra, key):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + extra)
+        assert exc.value.key == key and key in str(exc.value)
+
+    def test_keys_of_the_other_family_refused(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL.replace("  sigma: 1.0\n", "  sigma: 1.0\n  path: table.csv\n"))
+        assert exc.value.key == "datum.path"
+
+    def test_section_must_be_a_mapping(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + "grid: 128\n")
+        assert exc.value.key == "grid"
+
+    @pytest.mark.parametrize("name", ["exploratory.yaml", "theorem.yaml"])
+    def test_shipped_configs_parse(self, name):
+        path = Path(__file__).resolve().parent.parent / "configs" / name
+        assert parse_config(path.read_text()).settings.nt == 100
 
     def test_unknown_family(self):
         bad = MINIMAL.replace("gaussian-cosine", "plasma-blob")
@@ -310,6 +340,18 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'fields.csv'}: column E differs from Ebar + Etilde" in err
 
+    def test_decay_report_refuses_a_manifest_with_retired_keys(self, finished_run, tmp_path, capsys):
+        # A run directory written while solver.newton_tol and solver.ode_substeps were settings.
+        _, out, _ = finished_run
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"] = manifest["config"].replace(
+            "solver:\n", "solver:\n  newton_tol: 1.0e-10\n  ode_substeps: 4\n"
+        )
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "fields.csv").write_bytes((out / "fields.csv").read_bytes())
+        assert main(["decay-report", str(tmp_path)]) == 1
+        assert "unknown key solver.newton_tol" in capsys.readouterr().err
+
     def test_demo_instability(self, tmp_path, capsys):
         cfg = tmp_path / "demo.yaml"
         cfg.write_text(SMALL_RUN)
@@ -317,7 +359,7 @@ class TestOtherCommands:
         code = main(["demo-instability", str(cfg), "--out", str(out)])
         assert code == 0
         text = (out / "instability.txt").read_text()
-        assert "pointwise gap sup |f - mu| t=" in text
+        assert "L2 gap ||f - mu|| t=" in text
         assert "weak gap" in text
 
     def test_config_error_exit_code(self, tmp_path, capsys):

@@ -22,7 +22,7 @@ from vpme_scatter.errors import ParameterError
 from vpme_scatter.poisson import SpatialGrid, make_field_slice, verify_potential_bounds
 from vpme_scatter.scheme import RunSettings
 
-from conftest import EXPLORATORY_KLASS
+from conftest import EXPLORATORY_KLASS, datum_l2_gap
 
 
 def _synthetic_history(rate=2.0, amp=1.0, nx=32, nt=60, T=3.0):
@@ -155,6 +155,16 @@ class TestWeakConvergence:
         predicted = math.exp(-2 * math.pi**2 * (t2**2 - t1**2) / 3.0)
         assert gaps[t2] / gaps[t1] == pytest.approx(predicted, rel=0.05)
 
+    def test_l2_gap_of_free_flight_is_that_of_the_datum(self, exploratory_datum):
+        # Free flight shears each velocity row along x, which keeps its x-mean
+        # of (f - h)^2, so every L2 gap on the zero field is ||f* - h||.
+        hist = FieldHistory.zero(np.linspace(0.7, 3.0, 24), SpatialGrid(64))
+        report = weak_convergence_gap(exploratory_datum, hist, hist.times[::4], vmax=8.0, nv=256)
+        norm = datum_l2_gap(exploratory_datum, 64, 8.0, 256)
+        assert [t for t, _ in report.l2_gaps] == list(hist.times[::4])
+        for _, gap in report.l2_gaps:
+            assert abs(gap - norm) <= 1e-13 * norm
+
     def test_default_test_set_members(self):
         tests = default_test_set()
         assert set(tests) == {"one", "cos2pix", "sin2pix", "cos2pix_gauss", "v_gauss"}
@@ -181,7 +191,9 @@ class TestInstability:
         with pytest.raises(ParameterError, match="tail"):
             instability_report(5.0, 1.0, EXPLORATORY_KLASS, exploratory_settings)
 
-    def test_weak_gaps_shrink_but_pointwise_gap_persists(self, instability):
+    def test_weak_gaps_shrink_but_l2_gap_persists(
+        self, instability, exploratory_datum, exploratory_settings
+    ):
         report = instability
         assert report.scheme.converged
         # Weak relaxation: the oscillatory gaps at the horizon are far below
@@ -190,13 +202,13 @@ class TestInstability:
             gaps = report.weak_report.gaps_for(tid)
             assert gaps[-1][1] < 1e-3
             assert gaps[-1][1] < gaps[0][1]
-        # Pointwise persistence: sup_{x,v} |f(t) - mu| on the same slices
-        # stays above half its first value; the cosine never relaxes.
-        sup_gaps = report.weak_report.sup_gaps
-        assert [t for t, _ in sup_gaps] == [t for t, _ in report.weak_report.gaps_for("one")]
-        first = sup_gaps[0][1]
-        assert first > 0.0
-        assert all(gap > 0.5 * first for _, gap in sup_gaps)
+        # Persistence in norm: ||f(t) - mu|| on the same slices stays at
+        # ||f* - mu||, which the flow conserves; the cosine never relaxes.
+        l2_gaps = report.weak_report.l2_gaps
+        assert [t for t, _ in l2_gaps] == [t for t, _ in report.weak_report.gaps_for("one")]
+        s = exploratory_settings
+        norm = datum_l2_gap(exploratory_datum, s.nx, s.vmax, s.nv)
+        assert all(gap >= 0.99 * norm for _, gap in l2_gaps)
 
     def test_narrative_mentions_time_reversal(self, instability):
         assert "reversed" in instability.narrative

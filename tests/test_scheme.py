@@ -16,8 +16,8 @@ from vpme_scatter.asymptotic import (
     make_gaussian_cosine_datum,
     make_tabulated_datum,
 )
-from vpme_scatter.characteristics import FieldHistory, transport_to_horizon
-from vpme_scatter import scheme
+from vpme_scatter.characteristics import SUBSTEPS, FieldHistory, transport_to_horizon
+from vpme_scatter import diagnostics, scheme
 from vpme_scatter.errors import DomainError, ParameterError, SolverDivergenceError
 from vpme_scatter.poisson import (
     FieldSlice,
@@ -174,9 +174,9 @@ class TestDensityPush:
             field_update(dens, grid)
 
     def test_field_update_keeps_divergence_residual(self, monkeypatch):
-        def one_newton_step(rho, grid, newton_tol):
+        def one_newton_step(rho, grid):
             Ubar, Ebar = solve_linear(rho, grid)
-            Utilde, Etilde = solve_nonlinear(Ubar, grid, tol=newton_tol, max_iter=1)
+            Utilde, Etilde = solve_nonlinear(Ubar, grid, max_iter=1)
             return FieldSlice(Ubar=Ubar, Utilde=Utilde, Ebar=Ebar, Etilde=Etilde)
 
         monkeypatch.setattr(scheme, "make_field_slice", one_newton_step)
@@ -203,7 +203,7 @@ class TestDensityPush:
         np.testing.assert_array_equal(bare.E, hist.E)
 
     def test_field_update_leaves_foreign_errors_alone(self, monkeypatch):
-        def broken(rho, grid, newton_tol):
+        def broken(rho, grid):
             raise ZeroDivisionError("boom")
 
         monkeypatch.setattr(scheme, "make_field_slice", broken)
@@ -243,28 +243,43 @@ def _quieting_history() -> FieldHistory:
 class TestTransportedDatum:
     @pytest.mark.parametrize("family", ["gaussian-cosine", "tabulated"])
     def test_blocks_equal_one_whole_mesh_transport(self, family):
-        # 64 x 513 = 32,832 points: three equal blocks of 10,944.
+        # 64 x 513 = 32,832 points: three equal blocks of 10,944.  The
+        # gaussian-cosine datum is reflection-symmetric and this v an exact
+        # mirror lattice, so only its rows v >= 0 are transported, in two blocks.
         datum = _datum(family)
         hist = _quieting_history()
         grid, times = hist.grid, hist.times
         v = np.linspace(-6.0, 6.0, 513)
         assert v.size * grid.nx > 2 * scheme.TRANSPORT_BLOCK
+        half = v.size // 2 if datum.reflection_symmetric else 0
+        mirror = -np.arange(grid.nx) % grid.nx
         X0, V0 = (a.ravel() for a in np.meshgrid(grid.nodes, v))
         T = hist.horizon
         for t, (composed, f) in zip(times, scheme.transported_datum(datum, hist, times, v)):
-            XT, VT = transport_to_horizon(hist, float(t), X0, V0, hist.dt / 4)
+            XT, VT = transport_to_horizon(hist, float(t), X0, V0, hist.dt / SUBSTEPS)
             whole = eval_f_star(datum, XT - T * VT, VT).reshape(v.size, grid.nx)
-            assert not composed and np.array_equal(f, whole)
+            assert not composed and np.array_equal(f[half:], whole[half:])
+            if half:
+                # Rows v < 0 are the x-mirror of rows v > 0, and the odd field
+                # makes them the whole-mesh transport to round-off.
+                assert np.array_equal(f[:half], f[:half:-1][:, mirror])
+                assert _relative_error(f[:half], whole[:half]) <= 1e-13
 
 
-def _exact_labels(history, t: float, v, substeps=4):
+def _exact_labels(history, t: float, v):
     """Labels of the v x grid mesh at t, every characteristic carried to the horizon on its own."""
     X0, V0 = (a.ravel() for a in np.meshgrid(history.grid.nodes, v))
-    XT, VT = transport_to_horizon(history, t, X0, V0, history.dt / substeps)
+    XT, VT = transport_to_horizon(history, t, X0, V0, history.dt / SUBSTEPS)
     return XT - history.horizon * VT, VT
 
 
-def _transported_rows(datum, history, vmax, nv, substeps=4) -> np.ndarray:
+def _exact_slices(datum, history, times, v):
+    """transported_datum's (composed, f) with f* read at _exact_labels on every row of the mesh."""
+    for t in times:
+        yield False, eval_f_star(datum, *_exact_labels(history, float(t), v)).reshape(v.size, -1)
+
+
+def _transported_rows(datum, history, vmax, nv) -> np.ndarray:
     """push_density's Simpson sums on every slice with each slice transported to the horizon on its own.
 
     Only the rows push_density transports go through the characteristics; for
@@ -278,7 +293,7 @@ def _transported_rows(datum, history, vmax, nv, substeps=4) -> np.ndarray:
     mirror = -np.arange(nx) % nx
     rows = []
     for t in history.times:
-        f = eval_f_star(datum, *_exact_labels(history, float(t), moving, substeps))
+        f = eval_f_star(datum, *_exact_labels(history, float(t), moving))
         f = f.reshape(moving.size, nx)
         if moving.size < v.size:
             f = np.vstack([f[:0:-1, mirror], f])
@@ -287,10 +302,9 @@ def _transported_rows(datum, history, vmax, nv, substeps=4) -> np.ndarray:
 
 
 def _full_mesh_rows(datum, history, vmax, nv) -> np.ndarray:
-    """Simpson sums of transported_datum on the whole (nv + 1) x nx mesh of every slice."""
+    """Simpson sums of f* at the _exact_labels of every row of the (nv + 1) x nx mesh of every slice."""
     v, w = velocity_grid(vmax, nv)
-    slices = scheme.transported_datum(datum, history, history.times, v)
-    return np.array([w @ f for _, f in slices])
+    return np.array([w @ f for _, f in _exact_slices(datum, history, history.times, v)])
 
 
 def _assert_rows_match(pushed, composed, exact):
@@ -308,10 +322,10 @@ def _run_without_reuse(datum, settings: RunSettings):
     norms, deltas = [], []
     tol = None
     for n in range(1, settings.max_iterations + 1):
-        rho = _transported_rows(datum, history, settings.vmax, settings.nv, settings.ode_substeps)
+        rho = _transported_rows(datum, history, settings.vmax, settings.nv)
         np.maximum(rho, 0.0, out=rho)
         density = DensityHistory(times=times, rho=rho, mass=rho.mean(axis=1))
-        new_history = field_update(density, grid, newton_tol=settings.newton_tol)
+        new_history = field_update(density, grid)
         norms.append(weighted_norm(new_history, klass.a, klass.t0))
         deltas.append(weighted_norm_array(times, new_history.E - history.E, klass.a, klass.t0))
         history = new_history
@@ -450,22 +464,80 @@ class TestReflection:
         n = int(np.searchsorted(hist.times, hist.quiet_time()))
         assert n > 0
         full = np.maximum(_full_mesh_rows(datum, hist, vmax, nv)[:n], 0.0)
-        rows = []
-        transport = scheme.transported_datum
+        sizes = set()
+        sample = FieldHistory.sample
 
-        def recording(datum, history, times, v, substeps, out=None):
-            rows.append(v.size)
-            return transport(datum, history, times, v, substeps, out)
+        def counting(self, t, x):
+            sizes.add(np.size(x))
+            return sample(self, t, x)
 
-        monkeypatch.setattr(scheme, "transported_datum", recording)
+        monkeypatch.setattr(FieldHistory, "sample", counting)
         density = push_density(datum, hist, vmax, nv)
         pushed = density.rho[:n]
         if datum.reflection_symmetric:
-            assert rows == [nv // 2 + 1]
+            assert sizes == {(nv // 2 + 1) * hist.grid.nx}
             assert _relative_error(pushed, full) <= 1e-13
         else:
-            assert rows == [nv + 1]
+            assert sizes == {(nv + 1) * hist.grid.nx}
             _assert_rows_match(pushed, density.composed[:n], full)
+
+
+class TestWeakGapsHalfMesh:
+    """weak_convergence_gap on the converged history of TestSymmetryOracles: half mesh or whole."""
+
+    @staticmethod
+    def _gaps(datum, hist, monkeypatch, lattice=None, reference=False):
+        """(weak gaps, L2 gaps, sizes of the field samples); reference reads _exact_slices."""
+        sizes = set()
+        sample = FieldHistory.sample
+
+        def counting(self, t, x):
+            sizes.add(np.size(x))
+            return sample(self, t, x)
+
+        monkeypatch.setattr(FieldHistory, "sample", counting)
+        if lattice is not None:
+            monkeypatch.setattr(diagnostics, "velocity_grid", lattice)
+        if reference:
+            monkeypatch.setattr(diagnostics, "transported_datum", _exact_slices)
+        report = diagnostics.weak_convergence_gap(datum, hist, hist.times[::3], vmax=6.0, nv=32)
+        monkeypatch.undo()
+        return np.array([g for *_, g in report.entries]), np.array(report.l2_gaps), sizes
+
+    def test_symmetric_datum_samples_the_half_mesh(self, monkeypatch):
+        datum = _datum("gaussian-cosine")
+        hist = TestReflection._converged_history()
+        weak, l2, sizes = self._gaps(datum, hist, monkeypatch)
+        assert sizes == {(32 // 2 + 1) * hist.grid.nx}
+        full_weak, full_l2, full_sizes = self._gaps(datum, hist, monkeypatch, reference=True)
+        assert full_sizes == {(32 + 1) * hist.grid.nx}
+        assert np.max(np.abs(weak - full_weak)) <= 1e-13 * datum_mass(datum)
+        assert np.max(np.abs(l2 - full_l2)) <= 1e-13 * datum_mass(datum)
+
+    @staticmethod
+    def _shifted(vmax, nv):
+        """velocity_grid moved by half a node: odd size, but not a mirror lattice."""
+        v, w = velocity_grid(vmax, nv)
+        return v + vmax / nv, w
+
+    @staticmethod
+    def _even(vmax, nv):
+        """velocity_grid without its last node: no row v = 0 in the middle."""
+        v, w = velocity_grid(vmax, nv)
+        return v[:-1], w[:-1]
+
+    @pytest.mark.parametrize("family, lattice", [
+        ("tabulated", None), ("gaussian-cosine", "_shifted"), ("gaussian-cosine", "_even"),
+    ])
+    def test_other_cases_sample_the_whole_mesh(self, family, lattice, monkeypatch):
+        datum = _datum(family)
+        hist = TestReflection._converged_history()
+        lattice = None if lattice is None else getattr(self, lattice)
+        rows = (lattice or velocity_grid)(6.0, 32)[0].size
+        weak, l2, sizes = self._gaps(datum, hist, monkeypatch, lattice)
+        assert sizes == {rows * hist.grid.nx}
+        full_weak, full_l2, _ = self._gaps(datum, hist, monkeypatch, lattice, reference=True)
+        assert np.array_equal(weak, full_weak) and np.array_equal(l2, full_l2)
 
 
 class TestSweepCounters:
@@ -508,9 +580,9 @@ class TestFreeStreamingReuse:
         pushed = []
         transport = scheme.transported_datum
 
-        def recording(datum, history, times, v, substeps, out=None):
+        def recording(datum, history, times, v):
             pushed.extend(times)
-            return transport(datum, history, times, v, substeps, out)
+            return transport(datum, history, times, v)
 
         monkeypatch.setattr(scheme, "transported_datum", recording)
         density = push_density(datum, hist, 6.0, 64)
