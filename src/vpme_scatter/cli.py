@@ -8,8 +8,9 @@ diagnostics), ``demo-instability`` (the weak-instability construction), and
 to summary.txt and writes it under ``certificate`` in manifest.json; in theorem
 mode a failing certificate is an error, in exploratory mode it is reported.
 What each sweep did (its quiet time, slices transported and reused, slices
-composed from the next slice's labels, phase points per transported slice,
-field points sampled) goes to summary.txt and,
+composed from the next slice's labels and the field tolerance they were
+composed within, phase points per transported slice, field points sampled)
+goes to summary.txt and,
 with the sweep's push and update wall times, under ``stats`` in
 manifest.json; none of it goes into the tables, and no timing into
 summary.txt.
@@ -144,7 +145,8 @@ def render_summary(result: SchemeResult, reports: dict) -> str:
         lines.append(
             f"  sweep {n}: quiet time {_fmt(sweep.quiet_time)},"
             f" slices transported {sweep.transported}, reused {sweep.reused},"
-            f" composed {sweep.composed}, mesh points {sweep.mesh_points},"
+            f" composed {sweep.composed} within tolerance {_fmt(sweep.tolerance)},"
+            f" mesh points {sweep.mesh_points},"
             f" sampled points {sweep.sampled_points}"
         )
     decay = reports.get("decay")

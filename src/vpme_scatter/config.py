@@ -2,11 +2,13 @@
 
 The numerics of a run are one ``RunSettings``; its fields carry the defaults.
 A section or key the parser does not read is refused, so a misspelt or
-retired key cannot silently leave a setting at its default.
+retired key cannot silently leave a setting at its default.  A real-valued
+key must be a finite number: .nan, .inf and booleans are refused.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -76,10 +78,13 @@ def _get(section: dict, section_name: str, key: str, typ, default=_REQUIRED):
             if isinstance(val, bool) or int(val) != float(val):
                 raise ValueError
             return int(val)
+        if typ is float and (isinstance(val, bool) or not math.isfinite(float(val))):
+            raise ValueError
         return typ(val)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
+        expected = "finite float" if typ is float else typ.__name__
         raise ConfigError(
-            f"key {section_name}.{key} has invalid value {val!r} (expected {typ.__name__})",
+            f"key {section_name}.{key} has invalid value {val!r} (expected {expected})",
             key=f"{section_name}.{key}",
         ) from None
 
@@ -94,7 +99,7 @@ def _check_settings(s: RunSettings, klass: ClassParameters) -> None:
     if s.vmax is not None and s.vmax <= 0:
         raise ConfigError("grid.vmax must be positive", key="grid.vmax")
     if s.horizon is not None and s.horizon <= klass.t0:
-        raise ConfigError("T must exceed class.t0", key="T")
+        raise ConfigError("grid.T must exceed class.t0", key="grid.T")
     if s.fixed_point_tol <= 0:
         raise ConfigError("solver.fixed_point_tol must be positive", key="solver.fixed_point_tol")
     if s.max_iterations < 1:

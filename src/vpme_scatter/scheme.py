@@ -33,9 +33,20 @@ round-off of a label, eps (1 + vmax T), is transported across one slice only
 and read at the next slice's labels through D; the others, and always the
 last slice before the quiet time, are transported to the quiet time on their
 own.  On the theorem-regime data nearly every slice composes, so a sweep
-costs O(n) Nystrom steps in place of O(n^2); on a field loud to the horizon
-the estimate refuses every slice and the push is the plain transport, bit
-for bit.
+costs O(n) Nystrom steps in place of O(n^2).
+
+The sweeps are inexact, as in inexact Newton methods (Dembo, Eisenstat and
+Steihaug, SIAM J. Numer. Anal. 19, 1982): sweep n gives its push the field
+tolerance tau_n = FORCING delta_{n-1}, delta_{n-1} the previous sweep's
+weighted delta (0 for the first sweep).  A slice at t is also composed when
+the composition errors chained since the last slice transported on its own
+stay within tau_n e^{-a t}.  A label error moves E(t) by about as much, and
+the weighted norm weighs slice t by e^{a t}, so a sweep moves the weighted
+field by at most about tau_n, a small fraction of what the iteration can
+still resolve; the convergence test compares real successive iterates, so a
+converged run is within O(fixed_point_tol) of the same fixed point.  On a
+field loud to the horizon the round-off rule alone refuses every slice, and
+this budget is what lets the early sweeps compose.
 """
 
 from __future__ import annotations
@@ -67,6 +78,10 @@ from .poisson import SpatialGrid, make_field_slice
 
 MAX_ITERATIONS = 30
 FIXED_POINT_RTOL = 1e-9
+# Forcing term: each sweep's push may move the weighted field by FORCING times
+# the previous sweep's weighted delta.  3e-3 keeps every lingering catalog
+# entry at its strict sweep count; 1e-2 costs some of them a sweep.
+FORCING = 3e-3
 # Phase points transported together: small enough that a block's working
 # arrays stay in cache (the field kernel is memory-bound on whole meshes of
 # 100k points, and blocks of 32,768 already cost more per point than blocks
@@ -103,7 +118,9 @@ class SweepStats:
     quiet_time is that of the field the density was pushed on; transported
     slices went through the characteristics and reused ones were read from the
     free-streaming sum; composed counts the transported slices whose labels
-    came from the next slice's (transported one slice only); mesh_points is
+    came from the next slice's (transported one slice only); tolerance is the
+    field tolerance the push composed within (FORCING times the previous
+    sweep's weighted delta, 0 in the first sweep); mesh_points is
     the number of phase points each transported slice carries ((nv/2 + 1) nx
     for a reflection-symmetric datum, (nv + 1) nx otherwise); sampled_points
     counts the field samples of the transport (three per Nystrom step taken
@@ -115,6 +132,7 @@ class SweepStats:
     transported: int
     reused: int
     composed: int
+    tolerance: float
     mesh_points: int
     sampled_points: int
     push_s: float
@@ -213,7 +231,9 @@ def _composition_error(
     return displacement + max(float(D.max()), -float(D.min())) * interpolation
 
 
-def transported_datum(datum: AsymptoticDatum, history: FieldHistory, times, v: np.ndarray):
+def transported_datum(
+    datum: AsymptoticDatum, history: FieldHistory, times, v: np.ndarray, tolerance: float = 0.0
+):
     """Yield (composed, f), f the transported datum on the v x grid mesh, for each t in times.
 
     f(t) = f* o l_t, where the label l_t(x, v) = (X(T) - T V(T), V(T)) is the
@@ -226,12 +246,17 @@ def transported_datum(datum: AsymptoticDatum, history: FieldHistory, times, v: n
     D_s = l_s - (x - v s, v) is the label deviation of the slice at s on the
     mesh, shifted along x in each velocity row by an exact spectral shift.
 
-    A slice is composed only when _composition_error is at most the round-off
+    A slice is composed when _composition_error is at most the round-off
     that the label X(T) - T V(T) carries anyway, eps (1 + vmax T), from its
-    cancellation of terms of size vmax T.  The first slice, a slice after a
-    later one, and every refused slice are transported to the horizon on
-    their own (characteristics.transport_to_horizon); composed is False for
-    them.
+    cancellation of terms of size vmax T, or when the chain of composition
+    errors since the last slice transported on its own, this one's included,
+    is at most tolerance e^{-a t} (a = datum.klass.a).  A label error moves
+    the field at t by about as much, and the weighted norm weighs t by
+    e^{a t}, so the composed slices move the weighted field by at most about
+    tolerance; the default 0 keeps the round-off rule alone.  The first
+    slice, a slice after a later one, and every refused slice are transported
+    to the horizon on their own (characteristics.transport_to_horizon), which
+    ends the chain; composed is False for them.
 
     Only the _transported_velocities rows go through the characteristics.
     For a reflection-symmetric datum on an exact mirror lattice of odd size
@@ -263,6 +288,7 @@ def transported_datum(datum: AsymptoticDatum, history: FieldHistory, times, v: n
     field_max = np.max(np.abs(history.E), axis=1)
     modes = np.arange(nx // 2 + 1)
     later = None
+    chain = 0.0
     for t in map(float, times):
         composed = False
         if later is not None and t < later:
@@ -272,7 +298,9 @@ def transported_datum(datum: AsymptoticDatum, history: FieldHistory, times, v: n
                 D, moving, later - t, float(field_max[i : j + 1].max()),
                 float(interpolation[min(i, interpolation.size - 1)]),
             )
-            composed = error <= floor
+            budget = tolerance * math.exp(-datum.klass.a * t) - chain
+            composed = error <= floor or error <= budget
+        chain = chain + error if composed else 0.0
         for rows in blocks:
             X0, V0 = np.tile(x, moving[rows].size), np.repeat(moving[rows], nx)
             if composed:
@@ -334,7 +362,7 @@ def _free_streaming_rows(
 
 
 def push_density(
-    datum: AsymptoticDatum, history: FieldHistory, vmax: float, nv: int
+    datum: AsymptoticDatum, history: FieldHistory, vmax: float, nv: int, tolerance: float = 0.0
 ) -> DensityHistory:
     """Density of the transported datum on every (time, space) node.
 
@@ -348,18 +376,21 @@ def push_density(
     which is transported to the quiet time.  Each earlier slice is transported
     one slice only, to the next slice, and its labels composed from that
     slice's label deviation, wherever the estimated error of that composition
-    stays below the round-off of a label, eps (1 + vmax T); the others are
-    transported to the quiet time on their own (transported_datum has the
-    composition and its admission test).  Which slices were composed is
-    recorded in the result's composed.  For a reflection-symmetric datum
-    transported_datum transports only the rows v >= 0 of a slice.
+    stays below the round-off of a label, eps (1 + vmax T), or the errors
+    chained since the last slice transported on its own stay within
+    tolerance e^{-a t}, so that the weighted field moves by at most about
+    tolerance; the others are transported to the quiet time on their own
+    (transported_datum has the composition and its admission test).  Which
+    slices were composed is recorded in the result's composed.  For a
+    reflection-symmetric datum transported_datum transports only the rows
+    v >= 0 of a slice.
     """
     v, w = velocity_grid(vmax, nv)
     times = history.times
     n = _transported_slices(history)
     rho = np.empty((times.size, history.grid.nx))
     composed = np.zeros(times.size, dtype=bool)
-    slices = transported_datum(datum, history, times[:n][::-1], v)
+    slices = transported_datum(datum, history, times[:n][::-1], v, tolerance)
     for i, (from_next, f) in zip(range(n - 1, -1, -1), slices):
         composed[i] = from_next
         rho[i] = w @ f
@@ -455,8 +486,14 @@ def run_iteration(
     sweep, on the zero field, transports none; for a reflection-symmetric
     datum it transports only the rows v >= 0 of a slice, and it composes a
     slice's labels from the next slice's wherever that stays below label
-    round-off.  Every field update still solves all slices.  What each sweep
-    did and cost is recorded in result.sweeps.
+    round-off.  Sweep n also lets its push compose within the field tolerance
+    FORCING delta_{n-1}, the previous sweep's weighted delta (0 in the first
+    sweep): that moves the weighted field by at most about FORCING delta_{n-1},
+    far below what the sweep itself changes until the last sweeps, and the
+    convergence test compares the actual iterates, so a converged run stays
+    within O(fixed_point_tol) of the strict fixed point.  Every field update
+    still solves all slices.  What each sweep did and cost is recorded in
+    result.sweeps.
     """
     klass = datum.klass
     if report is None:
@@ -486,8 +523,9 @@ def run_iteration(
     density = None
     tol = None
     for n in range(1, settings.max_iterations + 1):
+        tolerance = FORCING * result.deltas[-1] if result.deltas else 0.0
         start = time.perf_counter()
-        density = push_density(datum, history, vmax, settings.nv)
+        density = push_density(datum, history, vmax, settings.nv, tolerance)
         pushed = time.perf_counter()
         new_history = field_update(density, grid)
         updated = time.perf_counter()
@@ -498,6 +536,7 @@ def run_iteration(
                 transported=transported,
                 reused=times.size - transported,
                 composed=int(density.composed.sum()),
+                tolerance=tolerance,
                 mesh_points=mesh,
                 sampled_points=_sampled_points(history, density.composed, mesh),
                 push_s=pushed - start,

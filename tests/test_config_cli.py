@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from vpme_scatter import asymptotic, cli, diagnostics, scheme
 from vpme_scatter.cli import main, resolve_out_dir
@@ -87,7 +88,28 @@ class TestParsing:
     def test_horizon_before_start_rejected(self):
         with pytest.raises(ConfigError) as exc:
             parse_config(MINIMAL + "grid:\n  T: 0.5\n")
-        assert exc.value.key == "T"
+        assert exc.value.key == "grid.T"
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("grid", "vmax", ".nan"),
+            ("grid", "T", ".inf"),
+            ("grid", "vmax", "true"),
+            ("grid", "nx", ".inf"),
+            ("class", "a", ".nan"),
+            ("class", "t0", ".nan"),
+            ("datum", "amplitude", ".nan"),
+            ("datum", "sigma", ".inf"),
+            ("datum", "sigma", "-.inf"),
+        ],
+    )
+    def test_non_finite_and_boolean_numbers_rejected(self, section, key, value):
+        doc = yaml.safe_load(MINIMAL)
+        doc.setdefault(section, {})[key] = yaml.safe_load(value)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(yaml.safe_dump(doc))
+        assert exc.value.key == f"{section}.{key}"
 
     @pytest.mark.parametrize(
         "extra, key",
@@ -200,7 +222,8 @@ class TestRunCommand:
             line = (
                 f"  sweep {n}: quiet time {s['quiet_time']!r},"
                 f" slices transported {s['transported']}, reused {s['reused']},"
-                f" composed {s['composed']}, mesh points {s['mesh_points']},"
+                f" composed {s['composed']} within tolerance {s['tolerance']!r},"
+                f" mesh points {s['mesh_points']},"
                 f" sampled points {s['sampled_points']}"
             )
             assert line in summary

@@ -413,6 +413,76 @@ class TestComposition:
         _assert_rows_match(density.rho[:n], composed, exact)
 
 
+class TestInexactSweeps:
+    """Composition within a field tolerance: the weighted field moves by at most that much."""
+
+    @pytest.mark.parametrize("case", ["lingering", "table"])
+    def test_field_moves_within_the_tolerance(self, case):
+        datum, hist, vmax, nv = _COMPOSITION_CASES[case]()
+        klass = datum.klass
+        strict = push_density(datum, hist, vmax, nv)
+        zero = push_density(datum, hist, vmax, nv, 0.0)
+        assert not strict.composed.any()  # neither history admits a slice at round-off
+        assert np.array_equal(zero.rho, strict.rho) and np.array_equal(zero.composed, strict.composed)
+        E = field_update(strict, hist.grid).E
+        norm = weighted_norm(hist, klass.a, klass.t0)
+        counts = []
+        for forcing in (1e-5, 1e-3, scheme.FORCING, 1e-1):
+            tolerance = forcing * norm
+            density = push_density(datum, hist, vmax, nv, tolerance)
+            moved = field_update(density, hist.grid).E - E
+            assert weighted_norm_array(hist.times, moved, klass.a, klass.t0) <= tolerance
+            kept = ~density.composed
+            assert np.array_equal(density.rho[kept], strict.rho[kept])
+            counts.append(int(density.composed.sum()))
+        assert counts == sorted(counts) and counts[-1] > 0
+
+    def test_admission_follows_the_chained_budget(self, monkeypatch):
+        # A slice composes when its error is at round-off or the errors chained
+        # since the last slice transported on its own fit in tolerance e^{-a t}.
+        datum, hist, vmax, nv = _COMPOSITION_CASES["lingering"]()
+        a = datum.klass.a
+        errors = []
+        estimate = scheme._composition_error
+
+        def recording(*args):
+            errors.append(estimate(*args))
+            return errors[-1]
+
+        monkeypatch.setattr(scheme, "_composition_error", recording)
+        tolerance = scheme.FORCING * weighted_norm(hist, a, datum.klass.t0)
+        density = push_density(datum, hist, vmax, nv, tolerance)
+        n = scheme._transported_slices(hist)
+        assert len(errors) == n - 1 and not density.composed[n - 1]
+        floor = np.finfo(float).eps * (1.0 + vmax * hist.horizon)
+        chain = 0.0
+        for i, error in zip(range(n - 2, -1, -1), errors):  # the push walks backward
+            admitted = error <= floor or error <= tolerance * math.exp(-a * hist.times[i]) - chain
+            assert density.composed[i] == admitted
+            chain = chain + error if admitted else 0.0
+        assert 0 < density.composed.sum() < n - 1
+
+    def test_lingering_run_keeps_its_sweeps_and_fixed_point(self, monkeypatch):
+        datum = make_gaussian_cosine_datum(1.0, 0.3, EXPLORATORY_KLASS)
+        settings = RunSettings(nx=32, nv=64, nt=20, horizon=3.0, exploratory=True)
+        forcing = scheme.FORCING
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            inexact = run_iteration(datum, settings)
+            monkeypatch.setattr(scheme, "FORCING", 0.0)
+            strict = run_iteration(datum, settings)
+        assert inexact.converged and strict.converged
+        assert inexact.iterations == strict.iterations
+        assert [s.tolerance for s in inexact.sweeps] == [0.0] + [
+            forcing * d for d in inexact.deltas[:-1]
+        ]
+        assert inexact.sweeps[1].composed > 0
+        assert not any(s.composed for s in strict.sweeps)
+        moved = inexact.field_history.E - strict.field_history.E
+        a, t0 = datum.klass.a, datum.klass.t0
+        assert weighted_norm_array(strict.field_history.times, moved, a, t0) <= strict.tolerance
+
+
 class TestFreeStreamingRows:
     """The closed free-streaming sum against transport of the zero field."""
 
@@ -580,9 +650,9 @@ class TestFreeStreamingReuse:
         pushed = []
         transport = scheme.transported_datum
 
-        def recording(datum, history, times, v):
+        def recording(datum, history, times, v, *rest):
             pushed.extend(times)
-            return transport(datum, history, times, v)
+            return transport(datum, history, times, v, *rest)
 
         monkeypatch.setattr(scheme, "transported_datum", recording)
         density = push_density(datum, hist, 6.0, 64)
@@ -602,9 +672,11 @@ class TestFreeStreamingReuse:
     # round-off alone reads 6e-11 relative to the field).  The gaussian-cosine
     # field falls below the quiet threshold at t = 2.1375, so ten of 25 slices
     # are read from the closed form; the bilinear table's field never falls
-    # eight decades below its peak, so only its horizon slice is.
+    # eight decades below its peak, so only its horizon slice is.  FORCING = 0
+    # keeps every push to the round-off composition rule.
     @pytest.mark.parametrize("family, reused", [("gaussian-cosine", 10), ("tabulated", 1)])
     def test_run_iteration_equals_a_loop_without_reuse(self, family, reused, monkeypatch):
+        monkeypatch.setattr(scheme, "FORCING", 0.0)
         datum = _datum(family, sigma=0.5)
         settings = RunSettings(
             nx=16, nv=256, nt=24, vmax=4.0, horizon=3.0, exploratory=True,
