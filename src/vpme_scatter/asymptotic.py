@@ -17,7 +17,7 @@ the pointwise velocity tail |f*| <= a2 / (1 + v^4), and the Fourier envelope
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,10 @@ ENVELOPE_PREFACTOR = math.exp(-6.0)
 
 # Lattice on which the Fourier envelope is checked for non-analytic families.
 ENVELOPE_K_MAX = 64
-ENVELOPE_ETA_FLOOR = 1e-14
+
+# The gaussian-cosine x-factor 1 + cos(2 pi x) by wavenumber; eval_f_star,
+# h_limit and scheme._free_streaming_rows write it in closed form.
+GAUSSIAN_COSINE_MODES = {0: 1.0, 1: 0.5, -1: 0.5}
 
 
 def zeta_upper_bound(alpha: float, terms: int = 20000) -> float:
@@ -87,17 +90,15 @@ class ClassParameters:
 class AsymptoticDatum:
     """A scattering target f* with its class parameters.
 
-    For the gaussian-cosine family ``modes`` maps spatial wavenumbers to the
-    coefficients of the trigonometric expansion of the x-factor; amplitude
-    and sigma parametrize the velocity Gaussian.  Tabulated data carry their
-    lattice instead.
+    For the gaussian-cosine family amplitude and sigma parametrize the
+    velocity Gaussian; its x-factor is fixed (GAUSSIAN_COSINE_MODES).
+    Tabulated data carry their lattice instead.
     """
 
     family: str
     klass: ClassParameters
     amplitude: float = 0.0
     sigma: float = 0.0
-    modes: dict = field(default_factory=dict)
     x_nodes: np.ndarray | None = None
     v_nodes: np.ndarray | None = None
     values: np.ndarray | None = None
@@ -163,7 +164,6 @@ def make_gaussian_cosine_datum(
         klass=klass,
         amplitude=amplitude,
         sigma=sigma,
-        modes={0: 1.0, 1: 0.5, -1: 0.5},
     )
 
 
@@ -265,7 +265,7 @@ def fourier_f_star(datum: AsymptoticDatum, k: int, eta: float) -> complex:
     in x, truncated in v) for tabulated grids.  Absent modes return 0.
     """
     if datum.family == "gaussian-cosine":
-        coeff = datum.modes.get(int(k), 0.0)
+        coeff = GAUSSIAN_COSINE_MODES.get(int(k), 0.0)
         return complex(
             datum.amplitude * coeff * math.exp(-(datum.sigma**2) * eta**2 / 2.0)
         )
@@ -371,7 +371,7 @@ def validate_class_membership(datum: AsymptoticDatum) -> ValidationReport:
         # log |fhat*(k, eta)| - log envelope = log(c m_k (1 + |k|^alpha)) + 6
         #   + a eta - sigma^2 eta^2 / 2, maximized at eta = a / sigma^2.
         peak = cls.a**2 / (2.0 * datum.sigma**2)
-        for k, coeff in datum.modes.items():
+        for k, coeff in GAUSSIAN_COSINE_MODES.items():
             if coeff == 0.0:
                 continue
             excess = (

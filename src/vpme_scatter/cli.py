@@ -43,6 +43,7 @@ from .diagnostics import (
     instability_report,
     lipschitz_estimate,
     weak_convergence_gap,
+    weak_gap_sampling,
 )
 from .errors import ConfigError
 from .poisson import SpatialGrid
@@ -203,14 +204,8 @@ def run_command(config: RunConfig, out_dir: Path) -> int:
     t_phase = time.perf_counter()
     history = result.field_history
     decay = decay_fit(history, config.klass)
-    idx = np.unique(np.linspace(0, history.times.size - 1, 6).astype(int))
-    weak = weak_convergence_gap(
-        datum,
-        history,
-        [float(history.times[i]) for i in idx],
-        vmax=result.vmax,
-        nv=min(config.settings.nv, 512),
-    )
+    times, nv = weak_gap_sampling(history, config.settings.nv)
+    weak = weak_convergence_gap(datum, history, times, vmax=result.vmax, nv=nv)
     lip = lipschitz_estimate(history)
     cert = certify(result, datum, decay)
     manifest.phase_seconds["diagnostics"] = time.perf_counter() - t_phase

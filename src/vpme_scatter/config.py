@@ -2,13 +2,16 @@
 
 The numerics of a run are one ``RunSettings``; its fields carry the defaults.
 A section or key the parser does not read is refused, so a misspelt or
-retired key cannot silently leave a setting at its default.  A real-valued
-key must be a finite number: .nan, .inf and booleans are refused.
+retired key cannot silently leave a setting at its default.  A key may not
+be blank, a numeric key must be a number (not "128"; 1e-6 reads as a float,
+as in YAML 1.2), and a real-valued key a finite one: .nan, .inf and
+booleans are refused.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import yaml
@@ -67,6 +70,13 @@ class RunConfig:
 _REQUIRED = object()
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads an exponent without a decimal point (1e-6) as a float."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$"), "-+0123456789")
+
+
 def _get(section: dict, section_name: str, key: str, typ, default=_REQUIRED):
     if key not in section:
         if default is _REQUIRED:
@@ -74,11 +84,13 @@ def _get(section: dict, section_name: str, key: str, typ, default=_REQUIRED):
         return default
     val = section[key]
     try:
+        if val is None or (typ is not str and (isinstance(val, bool) or not isinstance(val, (int, float)))):
+            raise ValueError
         if typ is int:
-            if isinstance(val, bool) or int(val) != float(val):
+            if int(val) != val:
                 raise ValueError
             return int(val)
-        if typ is float and (isinstance(val, bool) or not math.isfinite(float(val))):
+        if typ is float and not math.isfinite(val):
             raise ValueError
         return typ(val)
     except (TypeError, ValueError, OverflowError):
@@ -124,7 +136,7 @@ def _refuse_unknown_keys(doc: dict, family: str) -> None:
 def parse_config(text: str) -> RunConfig:
     """Parse a YAML configuration document into a validated RunConfig."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed configuration document: {exc}") from exc
     if not isinstance(doc, dict):

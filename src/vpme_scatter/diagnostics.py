@@ -262,13 +262,19 @@ def weak_convergence_gap(
         pv = phi(X, V)
         tests.append((tid, pv, float(np.sum(np.mean(pv, axis=1) * hv * wv))))
     entries, l2_gaps = [], []
-    for t, (_, f) in zip(times, transported_datum(datum, history, times, v)):
+    for t, (_, f) in zip(times, transported_datum(datum, history, times, vmax, nv)):
         for tid, pv, rhs in tests:
             lhs = float(np.sum(pv * f * wv[:, None])) / nx
             entries.append((tid, float(t), abs(lhs - rhs)))
         square = np.mean((f - hv[:, None]) ** 2, axis=1)
         l2_gaps.append((float(t), math.sqrt(float(wv @ square))))
     return WeakConvergenceReport(entries=entries, l2_gaps=l2_gaps)
+
+
+def weak_gap_sampling(history: FieldHistory, nv: int) -> tuple[list[float], int]:
+    """Report times and velocity count of a run's weak gaps: six times spread over the history, nv capped at 512."""
+    idx = np.unique(np.linspace(0, history.times.size - 1, 6).astype(int))
+    return [float(history.times[i]) for i in idx], min(nv, 512)
 
 
 def lipschitz_estimate(history: FieldHistory) -> float:
@@ -301,12 +307,6 @@ def instability_report(
     result = run_iteration(datum, settings, membership)
     history = result.field_history
 
-    idx = np.unique(np.linspace(0, history.times.size - 1, 6).astype(int))
-    weak = weak_convergence_gap(
-        datum,
-        history,
-        [float(history.times[i]) for i in idx],
-        vmax=result.vmax,
-        nv=min(settings.nv, 512),
-    )
+    times, nv = weak_gap_sampling(history, settings.nv)
+    weak = weak_convergence_gap(datum, history, times, vmax=result.vmax, nv=nv)
     return InstabilityReport(member=membership.member, weak_report=weak, scheme=result)

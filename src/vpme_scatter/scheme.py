@@ -18,35 +18,33 @@ start, so it transports nothing.
 
 A reflection-symmetric datum, f*(-x, -v) = f*(x, v) (the gaussian-cosine
 family; tables are not assumed to be), has a field odd in x, so the flow
-commutes with R(x, v) = (-x, -v) and f(t) o R = f(t) on every slice.  On an
-exact mirror lattice of odd size, such as velocity_grid gives,
-transported_datum then transports only the rows v >= 0 of a slice,
-(nv/2 + 1) nx points, and reads each row -v_k from row v_k at the mirrored x
-nodes; the density push and the weak gaps get whole slices either way.
+commutes with R(x, v) = (-x, -v) and f(t) o R = f(t) on every slice.
+transported_datum builds its mesh on velocity_grid's mirror lattice, so it
+transports only the rows v >= 0 of such a slice, (nv/2 + 1) nx points, and
+reads each row -v_k from row v_k at the mirrored x nodes; the density push
+and the weak gaps get whole slices either way.
 
 The labels of consecutive slices compose, l_i = l_{i+1} o Phi_{t_i -> t_{i+1}},
 as in characteristic-mapping methods (Yin, Mercier, Yadav, Schneider and
 Nave, J. Comput. Phys. 424, 2021).  A push walks the slices before the quiet
 time backward and keeps the label deviation D = l - (x - v t, v) of the slice
-after on the mesh.  A slice whose composition error is estimated below the
-round-off of a label, eps (1 + vmax T), is transported across one slice only
-and read at the next slice's labels through D; the others, and always the
-last slice before the quiet time, are transported to the quiet time on their
-own.  On the theorem-regime data nearly every slice composes, so a sweep
-costs O(n) Nystrom steps in place of O(n^2).
+after on the mesh.  A slice may be transported across one slice only and read
+at the next slice's labels through D; the others, and always the last slice
+before the quiet time, are transported to the quiet time on their own.
 
 The sweeps are inexact, as in inexact Newton methods (Dembo, Eisenstat and
 Steihaug, SIAM J. Numer. Anal. 19, 1982): sweep n gives its push the field
 tolerance tau_n = FORCING delta_{n-1}, delta_{n-1} the previous sweep's
-weighted delta (0 for the first sweep).  A slice at t is also composed when
+weighted delta (0 for the first sweep).  A slice at t is composed only when
 the composition errors chained since the last slice transported on its own
-stay within tau_n e^{-a t}.  A label error moves E(t) by about as much, and
-the weighted norm weighs slice t by e^{a t}, so a sweep moves the weighted
-field by at most about tau_n, a small fraction of what the iteration can
-still resolve; the convergence test compares real successive iterates, so a
-converged run is within O(fixed_point_tol) of the same fixed point.  On a
-field loud to the horizon the round-off rule alone refuses every slice, and
-this budget is what lets the early sweeps compose.
+stay strictly below tau_n e^{-a t}, so a push given no tolerance is exact
+transport.  A label error moves E(t) by about as much, and the weighted norm
+weighs slice t by e^{a t}, so a sweep moves the weighted field by at most
+about tau_n, a small fraction of what the iteration can still resolve; the
+convergence test compares real successive iterates, so a converged run is
+within O(fixed_point_tol) of the same fixed point.  On the theorem-regime
+data nearly every slice composes from sweep 2 on, so a sweep costs O(n)
+Nystrom steps in place of O(n^2).
 """
 
 from __future__ import annotations
@@ -119,8 +117,8 @@ class SweepStats:
     slices went through the characteristics and reused ones were read from the
     free-streaming sum; composed counts the transported slices whose labels
     came from the next slice's (transported one slice only); tolerance is the
-    field tolerance the push composed within (FORCING times the previous
-    sweep's weighted delta, 0 in the first sweep); mesh_points is
+    one field tolerance they were composed within (FORCING times the previous
+    sweep's weighted delta; 0, so none, in the first sweep); mesh_points is
     the number of phase points each transported slice carries ((nv/2 + 1) nx
     for a reflection-symmetric datum, (nv + 1) nx otherwise); sampled_points
     counts the field samples of the transport (three per Nystrom step taken
@@ -232,9 +230,9 @@ def _composition_error(
 
 
 def transported_datum(
-    datum: AsymptoticDatum, history: FieldHistory, times, v: np.ndarray, tolerance: float = 0.0
+    datum: AsymptoticDatum, history: FieldHistory, times, vmax: float, nv: int, tolerance: float = 0.0
 ):
-    """Yield (composed, f), f the transported datum on the v x grid mesh, for each t in times.
+    """Yield (composed, f), f the transported datum on the velocity_grid(vmax, nv) x grid mesh, for each t in times.
 
     f(t) = f* o l_t, where the label l_t(x, v) = (X(T) - T V(T), V(T)) is the
     horizon state of the characteristic through (x, v) at t, carried with
@@ -246,32 +244,30 @@ def transported_datum(
     D_s = l_s - (x - v s, v) is the label deviation of the slice at s on the
     mesh, shifted along x in each velocity row by an exact spectral shift.
 
-    A slice is composed when _composition_error is at most the round-off
-    that the label X(T) - T V(T) carries anyway, eps (1 + vmax T), from its
-    cancellation of terms of size vmax T, or when the chain of composition
-    errors since the last slice transported on its own, this one's included,
-    is at most tolerance e^{-a t} (a = datum.klass.a).  A label error moves
-    the field at t by about as much, and the weighted norm weighs t by
-    e^{a t}, so the composed slices move the weighted field by at most about
-    tolerance; the default 0 keeps the round-off rule alone.  The first
-    slice, a slice after a later one, and every refused slice are transported
-    to the horizon on their own (characteristics.transport_to_horizon), which
-    ends the chain; composed is False for them.
+    A slice is composed when the chain of _composition_error estimates since
+    the last slice transported on its own, this one's included, is strictly
+    below tolerance e^{-a t} (a = datum.klass.a).  A label error moves the
+    field at t by about as much, and the weighted norm weighs t by e^{a t},
+    so the composed slices move the weighted field by at most about
+    tolerance; with the default 0 no slice is composed.  The first slice, a
+    slice after a later one, and every refused slice are transported to the
+    horizon on their own (characteristics.transport_to_horizon), which ends
+    the chain; composed is False for them.
 
     Only the _transported_velocities rows go through the characteristics.
-    For a reflection-symmetric datum on an exact mirror lattice of odd size
-    (v[::-1] == -v, as velocity_grid gives) those are the rows v >= 0, and
-    each row v_{n-k} = -v_k is filled from row k at x index (-j) % nx.  That
-    reflection is exact only when the history's field is odd in x,
-    E(t, -x) = -E(t, x); every iterate of run_iteration on such a datum is,
-    to solver round-off.
+    For a reflection-symmetric datum those are the rows v >= 0 of the mirror
+    lattice, and each row v_{nv-k} = -v_k is filled from row k at x index
+    (-j) % nx.  That reflection is exact only when the history's field is
+    odd in x, E(t, -x) = -E(t, x); every iterate of run_iteration on such a
+    datum is, to solver round-off.
 
     The transported rows go through equal blocks of whole velocity rows
     (_row_blocks); every operation on the way is per point or per row, so
     they are bit-identical to one whole-mesh computation.  Each f has shape
-    (v.size, nx) and is the same array: a slice is valid until the next one
+    (nv + 1, nx) and is the same array: a slice is valid until the next one
     is yielded.
     """
+    v, _ = velocity_grid(vmax, nv)
     x = history.grid.nodes
     nx = x.size
     step = history.dt / SUBSTEPS
@@ -283,7 +279,6 @@ def transported_datum(
     mirror = -np.arange(nx) % nx
     D = np.empty((2, moving.size, nx))
     blocks = _row_blocks(moving.size, nx)
-    floor = np.finfo(float).eps * (1.0 + float(np.max(np.abs(moving))) * T)
     interpolation = _interpolation_ratios(history)
     field_max = np.max(np.abs(history.E), axis=1)
     modes = np.arange(nx // 2 + 1)
@@ -298,8 +293,7 @@ def transported_datum(
                 D, moving, later - t, float(field_max[i : j + 1].max()),
                 float(interpolation[min(i, interpolation.size - 1)]),
             )
-            budget = tolerance * math.exp(-datum.klass.a * t) - chain
-            composed = error <= floor or error <= budget
+            composed = chain + error < tolerance * math.exp(-datum.klass.a * t)
         chain = chain + error if composed else 0.0
         for rows in blocks:
             X0, V0 = np.tile(x, moving[rows].size), np.repeat(moving[rows], nx)
@@ -328,13 +322,11 @@ def _transported_slices(history: FieldHistory) -> int:
 
 
 def _transported_velocities(datum: AsymptoticDatum, v: np.ndarray) -> np.ndarray:
-    """Velocity rows transported_datum transports; it reads the others by reflection.
+    """Rows of the velocity_grid lattice v that transported_datum transports; it reads the others by reflection.
 
-    v >= 0 for a reflection-symmetric datum on an exact mirror lattice of odd
-    size (an even size has no row v = 0), all of v otherwise.
+    v >= 0 for a reflection-symmetric datum, all of v otherwise.
     """
-    mirrored = v.size % 2 == 1 and np.array_equal(v[::-1], -v)
-    return v[v.size // 2 :] if datum.reflection_symmetric and mirrored else v
+    return v[v.size // 2 :] if datum.reflection_symmetric else v
 
 
 def _free_streaming_rows(
@@ -375,22 +367,21 @@ def push_density(
     The slices before the quiet time are walked backward from the last one,
     which is transported to the quiet time.  Each earlier slice is transported
     one slice only, to the next slice, and its labels composed from that
-    slice's label deviation, wherever the estimated error of that composition
-    stays below the round-off of a label, eps (1 + vmax T), or the errors
-    chained since the last slice transported on its own stay within
-    tolerance e^{-a t}, so that the weighted field moves by at most about
-    tolerance; the others are transported to the quiet time on their own
-    (transported_datum has the composition and its admission test).  Which
-    slices were composed is recorded in the result's composed.  For a
-    reflection-symmetric datum transported_datum transports only the rows
-    v >= 0 of a slice.
+    slice's label deviation, wherever the estimated errors chained since the
+    last slice transported on its own stay strictly below tolerance e^{-a t},
+    so that the weighted field moves by at most about tolerance; the others
+    are transported to the quiet time on their own (transported_datum has
+    the composition and its admission test).  With the default tolerance 0
+    every slice is transported on its own.  Which slices were composed is
+    recorded in the result's composed.  For a reflection-symmetric datum
+    transported_datum transports only the rows v >= 0 of a slice.
     """
     v, w = velocity_grid(vmax, nv)
     times = history.times
     n = _transported_slices(history)
     rho = np.empty((times.size, history.grid.nx))
     composed = np.zeros(times.size, dtype=bool)
-    slices = transported_datum(datum, history, times[:n][::-1], v, tolerance)
+    slices = transported_datum(datum, history, times[:n][::-1], vmax, nv, tolerance)
     for i, (from_next, f) in zip(range(n - 1, -1, -1), slices):
         composed[i] = from_next
         rho[i] = w @ f
@@ -484,14 +475,14 @@ def run_iteration(
     Each push transports only the slices before its field's quiet time and
     reads the others from the free-streaming sum (push_density), so the first
     sweep, on the zero field, transports none; for a reflection-symmetric
-    datum it transports only the rows v >= 0 of a slice, and it composes a
-    slice's labels from the next slice's wherever that stays below label
-    round-off.  Sweep n also lets its push compose within the field tolerance
-    FORCING delta_{n-1}, the previous sweep's weighted delta (0 in the first
-    sweep): that moves the weighted field by at most about FORCING delta_{n-1},
-    far below what the sweep itself changes until the last sweeps, and the
-    convergence test compares the actual iterates, so a converged run stays
-    within O(fixed_point_tol) of the strict fixed point.  Every field update
+    datum it transports only the rows v >= 0 of a slice.  Sweep n lets its
+    push compose a slice's labels from the next slice's within the field
+    tolerance FORCING delta_{n-1}, delta_{n-1} the previous sweep's weighted
+    delta; the first sweep, with no delta yet, composes nothing.  That moves
+    the weighted field by at most about FORCING delta_{n-1}, far below what
+    the sweep itself changes until the last sweeps, and the convergence test
+    compares the actual iterates, so a converged run stays within
+    O(fixed_point_tol) of the strict fixed point.  Every field update
     still solves all slices.  What each sweep did and cost is recorded in
     result.sweeps.
     """

@@ -112,6 +112,37 @@ class TestParsing:
         assert exc.value.key == f"{section}.{key}"
 
     @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("run", "out", ""),
+            ("run", "mode", ""),
+            ("run", "seed", ""),
+            ("datum", "path", ""),
+            ("datum", "sigma", ""),
+            ("grid", "nx", ""),
+            ("grid", "nx", '"128"'),
+            ("grid", "vmax", '"6.0"'),
+            ("class", "a", "'2.0'"),
+            ("solver", "max_iterations", '"5"'),
+            ("run", "seed", '"3"'),
+        ],
+    )
+    def test_blank_keys_and_quoted_numbers_rejected(self, section, key, value):
+        # A blank key is not the text "None", and a string is not a number.
+        doc = yaml.safe_load(MINIMAL)
+        if key == "path":
+            doc["datum"] = {"family": "tabulated-grid"}
+        doc.setdefault(section, {})[key] = yaml.safe_load(value)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(yaml.safe_dump(doc))
+        assert exc.value.key == f"{section}.{key}" and exc.value.key in str(exc.value)
+
+    def test_exponent_without_a_point_is_a_number(self):
+        # YAML 1.1 reads 1e-6 as a string; the parser reads it as YAML 1.2 does.
+        cfg = parse_config(MINIMAL.replace("amplitude: 0.05", "amplitude: 5e-2") + "grid:\n  nx: 1E2\n")
+        assert cfg.datum.amplitude == 0.05 and cfg.settings.nx == 100
+
+    @pytest.mark.parametrize(
         "extra, key",
         [
             ("grid:\n  nV: 128\n", "grid.nV"),  # misspelt

@@ -244,18 +244,18 @@ class TestTransportedDatum:
     @pytest.mark.parametrize("family", ["gaussian-cosine", "tabulated"])
     def test_blocks_equal_one_whole_mesh_transport(self, family):
         # 64 x 513 = 32,832 points: three equal blocks of 10,944.  The
-        # gaussian-cosine datum is reflection-symmetric and this v an exact
-        # mirror lattice, so only its rows v >= 0 are transported, in two blocks.
+        # gaussian-cosine datum is reflection-symmetric, so only its rows
+        # v >= 0 are transported, in two blocks.
         datum = _datum(family)
         hist = _quieting_history()
         grid, times = hist.grid, hist.times
-        v = np.linspace(-6.0, 6.0, 513)
+        v, _ = velocity_grid(6.0, 512)
         assert v.size * grid.nx > 2 * scheme.TRANSPORT_BLOCK
         half = v.size // 2 if datum.reflection_symmetric else 0
         mirror = -np.arange(grid.nx) % grid.nx
         X0, V0 = (a.ravel() for a in np.meshgrid(grid.nodes, v))
         T = hist.horizon
-        for t, (composed, f) in zip(times, scheme.transported_datum(datum, hist, times, v)):
+        for t, (composed, f) in zip(times, scheme.transported_datum(datum, hist, times, 6.0, 512)):
             XT, VT = transport_to_horizon(hist, float(t), X0, V0, hist.dt / SUBSTEPS)
             whole = eval_f_star(datum, XT - T * VT, VT).reshape(v.size, grid.nx)
             assert not composed and np.array_equal(f[half:], whole[half:])
@@ -273,8 +273,9 @@ def _exact_labels(history, t: float, v):
     return XT - history.horizon * VT, VT
 
 
-def _exact_slices(datum, history, times, v):
+def _exact_slices(datum, history, times, vmax, nv):
     """transported_datum's (composed, f) with f* read at _exact_labels on every row of the mesh."""
+    v, _ = velocity_grid(vmax, nv)
     for t in times:
         yield False, eval_f_star(datum, *_exact_labels(history, float(t), v)).reshape(v.size, -1)
 
@@ -303,8 +304,8 @@ def _transported_rows(datum, history, vmax, nv) -> np.ndarray:
 
 def _full_mesh_rows(datum, history, vmax, nv) -> np.ndarray:
     """Simpson sums of f* at the _exact_labels of every row of the (nv + 1) x nx mesh of every slice."""
-    v, w = velocity_grid(vmax, nv)
-    return np.array([w @ f for _, f in _exact_slices(datum, history, history.times, v)])
+    _, w = velocity_grid(vmax, nv)
+    return np.array([w @ f for _, f in _exact_slices(datum, history, history.times, vmax, nv)])
 
 
 def _assert_rows_match(pushed, composed, exact):
@@ -377,16 +378,14 @@ _COMPOSITION_CASES = {
 class TestComposition:
     """push_density's composed labels and rows against every slice transported to the horizon on its own."""
 
-    @pytest.mark.parametrize(
-        "case, admits",
-        [("theorem-certify", True), ("exploratory", True), ("quieting", True),
-         ("nx16", True), ("lingering", False), ("table", False)],
-    )
-    def test_composed_labels_and_rows_match_a_full_transport(self, case, admits, monkeypatch):
+    @pytest.mark.parametrize("case", ["theorem-certify", "exploratory"])
+    def test_composed_labels_and_rows_match_a_full_transport(self, case, monkeypatch):
         datum, hist, vmax, nv = _COMPOSITION_CASES[case]()
+        klass = datum.klass
         v, _ = velocity_grid(vmax, nv)
         moving = scheme._transported_velocities(datum, v)
         n = scheme._transported_slices(hist)
+        tolerance = scheme.FORCING * weighted_norm(hist, klass.a, klass.t0)
         labels = []
 
         def recording(datum, x, v):
@@ -394,12 +393,13 @@ class TestComposition:
             return eval_f_star(datum, x, v)
 
         monkeypatch.setattr(scheme, "eval_f_star", recording)
-        density = push_density(datum, hist, vmax, nv)
+        density = push_density(datum, hist, vmax, nv, tolerance)
         monkeypatch.undo()
         composed = density.composed[:n]
-        assert composed.any() == admits and not composed[-1]
-        # The labels of a composed slice are within a few times the round-off
-        # of a label itself, eps (1 + vmax T), of the labels of a full transport.
+        assert composed.any() and not composed[-1]
+        # On these fields the labels of a composed slice are within a few times
+        # the round-off of a label itself, eps (1 + vmax T), of the labels of a
+        # full transport.
         floor = np.finfo(float).eps * (1.0 + vmax * hist.horizon)
         blocks = len(scheme._row_blocks(moving.size, hist.grid.nx))
         for k, i in enumerate(range(n - 1, -1, -1)):  # the push walks backward
@@ -412,17 +412,27 @@ class TestComposition:
         exact = np.maximum(_transported_rows(datum, hist, vmax, nv)[:n], 0.0)
         _assert_rows_match(density.rho[:n], composed, exact)
 
+    @pytest.mark.parametrize("case", sorted(_COMPOSITION_CASES))
+    def test_no_tolerance_composes_nothing(self, case):
+        # A push given no tolerance transports every slice to the quiet time on its own.
+        datum, hist, vmax, nv = _COMPOSITION_CASES[case]()
+        n = scheme._transported_slices(hist)
+        density = push_density(datum, hist, vmax, nv)
+        assert not density.composed.any()
+        exact = np.maximum(_transported_rows(datum, hist, vmax, nv)[:n], 0.0)
+        assert np.array_equal(density.rho[:n], exact)
+
 
 class TestInexactSweeps:
     """Composition within a field tolerance: the weighted field moves by at most that much."""
 
-    @pytest.mark.parametrize("case", ["lingering", "table"])
+    @pytest.mark.parametrize("case", ["lingering", "table", "quieting", "nx16"])
     def test_field_moves_within_the_tolerance(self, case):
         datum, hist, vmax, nv = _COMPOSITION_CASES[case]()
         klass = datum.klass
         strict = push_density(datum, hist, vmax, nv)
         zero = push_density(datum, hist, vmax, nv, 0.0)
-        assert not strict.composed.any()  # neither history admits a slice at round-off
+        assert not strict.composed.any()  # no tolerance: every slice transported exactly
         assert np.array_equal(zero.rho, strict.rho) and np.array_equal(zero.composed, strict.composed)
         E = field_update(strict, hist.grid).E
         norm = weighted_norm(hist, klass.a, klass.t0)
@@ -438,8 +448,8 @@ class TestInexactSweeps:
         assert counts == sorted(counts) and counts[-1] > 0
 
     def test_admission_follows_the_chained_budget(self, monkeypatch):
-        # A slice composes when its error is at round-off or the errors chained
-        # since the last slice transported on its own fit in tolerance e^{-a t}.
+        # A slice composes when the errors chained since the last slice
+        # transported on its own stay strictly below tolerance e^{-a t}.
         datum, hist, vmax, nv = _COMPOSITION_CASES["lingering"]()
         a = datum.klass.a
         errors = []
@@ -454,10 +464,9 @@ class TestInexactSweeps:
         density = push_density(datum, hist, vmax, nv, tolerance)
         n = scheme._transported_slices(hist)
         assert len(errors) == n - 1 and not density.composed[n - 1]
-        floor = np.finfo(float).eps * (1.0 + vmax * hist.horizon)
         chain = 0.0
         for i, error in zip(range(n - 2, -1, -1), errors):  # the push walks backward
-            admitted = error <= floor or error <= tolerance * math.exp(-a * hist.times[i]) - chain
+            admitted = chain + error < tolerance * math.exp(-a * hist.times[i])
             assert density.composed[i] == admitted
             chain = chain + error if admitted else 0.0
         assert 0 < density.composed.sum() < n - 1
@@ -556,7 +565,7 @@ class TestWeakGapsHalfMesh:
     """weak_convergence_gap on the converged history of TestSymmetryOracles: half mesh or whole."""
 
     @staticmethod
-    def _gaps(datum, hist, monkeypatch, lattice=None, reference=False):
+    def _gaps(datum, hist, monkeypatch, reference=False):
         """(weak gaps, L2 gaps, sizes of the field samples); reference reads _exact_slices."""
         sizes = set()
         sample = FieldHistory.sample
@@ -566,8 +575,6 @@ class TestWeakGapsHalfMesh:
             return sample(self, t, x)
 
         monkeypatch.setattr(FieldHistory, "sample", counting)
-        if lattice is not None:
-            monkeypatch.setattr(diagnostics, "velocity_grid", lattice)
         if reference:
             monkeypatch.setattr(diagnostics, "transported_datum", _exact_slices)
         report = diagnostics.weak_convergence_gap(datum, hist, hist.times[::3], vmax=6.0, nv=32)
@@ -584,29 +591,12 @@ class TestWeakGapsHalfMesh:
         assert np.max(np.abs(weak - full_weak)) <= 1e-13 * datum_mass(datum)
         assert np.max(np.abs(l2 - full_l2)) <= 1e-13 * datum_mass(datum)
 
-    @staticmethod
-    def _shifted(vmax, nv):
-        """velocity_grid moved by half a node: odd size, but not a mirror lattice."""
-        v, w = velocity_grid(vmax, nv)
-        return v + vmax / nv, w
-
-    @staticmethod
-    def _even(vmax, nv):
-        """velocity_grid without its last node: no row v = 0 in the middle."""
-        v, w = velocity_grid(vmax, nv)
-        return v[:-1], w[:-1]
-
-    @pytest.mark.parametrize("family, lattice", [
-        ("tabulated", None), ("gaussian-cosine", "_shifted"), ("gaussian-cosine", "_even"),
-    ])
-    def test_other_cases_sample_the_whole_mesh(self, family, lattice, monkeypatch):
-        datum = _datum(family)
+    def test_table_samples_the_whole_mesh(self, monkeypatch):
+        datum = _datum("tabulated")
         hist = TestReflection._converged_history()
-        lattice = None if lattice is None else getattr(self, lattice)
-        rows = (lattice or velocity_grid)(6.0, 32)[0].size
-        weak, l2, sizes = self._gaps(datum, hist, monkeypatch, lattice)
-        assert sizes == {rows * hist.grid.nx}
-        full_weak, full_l2, _ = self._gaps(datum, hist, monkeypatch, lattice, reference=True)
+        weak, l2, sizes = self._gaps(datum, hist, monkeypatch)
+        assert sizes == {(32 + 1) * hist.grid.nx}
+        full_weak, full_l2, _ = self._gaps(datum, hist, monkeypatch, reference=True)
         assert np.array_equal(weak, full_weak) and np.array_equal(l2, full_l2)
 
 
@@ -650,9 +640,9 @@ class TestFreeStreamingReuse:
         pushed = []
         transport = scheme.transported_datum
 
-        def recording(datum, history, times, v, *rest):
+        def recording(datum, history, times, *rest):
             pushed.extend(times)
-            return transport(datum, history, times, v, *rest)
+            return transport(datum, history, times, *rest)
 
         monkeypatch.setattr(scheme, "transported_datum", recording)
         density = push_density(datum, hist, 6.0, 64)
@@ -673,7 +663,7 @@ class TestFreeStreamingReuse:
     # field falls below the quiet threshold at t = 2.1375, so ten of 25 slices
     # are read from the closed form; the bilinear table's field never falls
     # eight decades below its peak, so only its horizon slice is.  FORCING = 0
-    # keeps every push to the round-off composition rule.
+    # gives every push no tolerance, so no slice is composed.
     @pytest.mark.parametrize("family, reused", [("gaussian-cosine", 10), ("tabulated", 1)])
     def test_run_iteration_equals_a_loop_without_reuse(self, family, reused, monkeypatch):
         monkeypatch.setattr(scheme, "FORCING", 0.0)
