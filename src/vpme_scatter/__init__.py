@@ -17,6 +17,7 @@ from .characteristics import FieldHistory
 from .poisson import (
     BoundsReport,
     FieldSlice,
+    NewtonReport,
     SpatialGrid,
     kernel_eval,
     solve_linear,

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError, OutOfRangeError, ParameterError
-from .poisson import FieldSlice, SpatialGrid
+from .poisson import NewtonReport, SpatialGrid
 
 # Nystrom steps per time slice.  FieldHistory.sample is linear in t between
 # time nodes, so the time grid, not this count, sets how well the flow is
@@ -100,10 +100,11 @@ class FieldHistory:
     finite, coef, the (times, 4, nx + 1) cubic cell coefficients of E that
     sample evaluates, the floats t0, horizon and dt, and quiet_time(),
     which every transport of a block asks for.  A
-    history assembled from solved slices (from_slices, hence every field_update)
-    also keeps their potentials Ubar and Utilde, read-only, so a converged run
-    can be certified without solving a slice again; a history built from the
-    field alone (zero, or a run's fields.csv) has None there.
+    history that scheme.field_update builds from its stacked solve also keeps
+    the solved potentials Ubar and Utilde, read-only, so a converged run can
+    be certified without solving a slice again, and the solve's NewtonReport;
+    a history built from the field alone (zero, or a run's fields.csv) has
+    None there.
     """
 
     times: np.ndarray
@@ -112,6 +113,7 @@ class FieldHistory:
     Etilde: np.ndarray
     Ubar: np.ndarray | None = None
     Utilde: np.ndarray | None = None
+    newton: NewtonReport | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -150,17 +152,6 @@ class FieldHistory:
     def zero(cls, times: np.ndarray, grid: SpatialGrid) -> "FieldHistory":
         z = np.zeros((np.asarray(times).size, grid.nx))
         return cls(times=times, grid=grid, Ebar=z, Etilde=z.copy())
-
-    @classmethod
-    def from_slices(cls, times, grid, slices: list[FieldSlice]) -> "FieldHistory":
-        return cls(
-            times=times,
-            grid=grid,
-            Ebar=np.vstack([s.Ebar for s in slices]),
-            Etilde=np.vstack([s.Etilde for s in slices]),
-            Ubar=np.vstack([s.Ubar for s in slices]),
-            Utilde=np.vstack([s.Utilde for s in slices]),
-        )
 
     def quiet_time(self) -> float:
         """Earliest grid time after which every slice stays below the quiet threshold.

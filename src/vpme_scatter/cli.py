@@ -148,7 +148,9 @@ def render_summary(result: SchemeResult, reports: dict) -> str:
             f" slices transported {sweep.transported}, reused {sweep.reused},"
             f" composed {sweep.composed} within tolerance {_fmt(sweep.tolerance)},"
             f" mesh points {sweep.mesh_points},"
-            f" sampled points {sweep.sampled_points}"
+            f" sampled points {sweep.sampled_points},"
+            f" Newton steps {sweep.newton_steps} (worst residual {_fmt(sweep.newton_residual)},"
+            f" {sweep.newton_at_floor} at the round-off floor)"
         )
     decay = reports.get("decay")
     if decay is not None:

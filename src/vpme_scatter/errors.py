@@ -6,7 +6,14 @@ class ParameterError(ValueError):
 
 
 class DomainError(ValueError):
-    """Input data violates a mathematical precondition (e.g. negative density)."""
+    """Input data violates a mathematical precondition (e.g. negative density).
+
+    index is the row of a stacked input that violates it (None when not set).
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class OutOfRangeError(ValueError):
@@ -14,11 +21,16 @@ class OutOfRangeError(ValueError):
 
 
 class SolverDivergenceError(RuntimeError):
-    """Newton iteration failed to reach the target residual."""
+    """Newton iteration failed to reach the target residual.
 
-    def __init__(self, message: str, residual: float):
+    residual is the failing row's last max-norm residual and index its row in
+    the solved stack (None when not set).
+    """
+
+    def __init__(self, message: str, residual: float, index: int | None = None):
         super().__init__(message)
         self.residual = residual
+        self.index = index
 
 
 class IntegrationError(RuntimeError):

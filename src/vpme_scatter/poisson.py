@@ -1,15 +1,22 @@
-"""Split Poisson problem on the torus, one time slice at a time.
+"""Split Poisson problem on the torus, for one time slice or a stack of them.
 
-The linear potential is the convolution Ubar = W * rho with the periodic
-kernel W(x) = (x^2 - |x|)/2, computed spectrally (the source's zero mode is
+Every solve takes one slice, shape (nx,), or a stack of k slices, shape
+(k, nx); one slice is the one-row stack of the same code.  Each row is solved
+on its own and gets the same bits whatever else its stack holds.  The linear
+potential is the convolution Ubar = W * rho with the periodic kernel
+W(x) = (x^2 - |x|)/2, computed spectrally (the source's zero mode is
 dropped; the mean of Ubar is fixed by the kernel's own mean -1/12).  The
 nonlinear correction solves d^2 Utilde / dx^2 = exp(Ubar + Utilde) - 1 by
-damped Newton on the periodic central-difference operator.  Each Newton
-step solves the cyclic tridiagonal Jacobian system: Sherman-Morrison turns it
-into one tridiagonal elimination with two right-hand sides, done by
-vectorized cyclic reduction down to a sequential Thomas sweep on at most 64
-unknowns.  Newton stops at the residual tolerance, or when the line search
-stalls at the round-off floor of the 1/h^2 operator.
+damped Newton on the periodic central-difference operator.  Every row keeps
+its own line search and stopping test and leaves the working set once it
+stops; each Newton step solves the cyclic tridiagonal Jacobian systems of the
+rows left in one call.  Sherman-Morrison turns each system into one
+tridiagonal elimination with two right-hand sides, done by cyclic reduction
+vectorized over the rows (Hockney, J. ACM 12, 1965; Buzbee, Golub and
+Nielson, SIAM J. Numer. Anal. 7, 1970) down to sequential Thomas sweeps on at
+most 64 unknowns per row.  Newton stops at the residual tolerance, or when the
+line search stalls at the round-off floor of the 1/h^2 operator; the steps,
+final residual and floor acceptance of every row come back in a NewtonReport.
 """
 
 from __future__ import annotations
@@ -51,13 +58,31 @@ class SpatialGrid:
 
 
 @dataclass(frozen=True)
+class NewtonReport:
+    """What solve_nonlinear did on each row: Jacobian solves, final max-norm residual, acceptance at the floor.
+
+    Each field has the leading shape of the solved stack (() for one slice).
+    at_floor marks the rows accepted at the round-off floor after a stalled
+    line search, above the residual tolerance.
+    """
+
+    steps: np.ndarray
+    residual: np.ndarray
+    at_floor: np.ndarray
+
+
+@dataclass(frozen=True)
 class FieldSlice:
-    """Potentials and fields of one time slice, split into linear and nonlinear parts."""
+    """Potentials and fields of one time slice, or of a stack of them, split into linear and nonlinear parts.
+
+    newton is the report of the nonlinear solve (None for a slice not built by make_field_slice).
+    """
 
     Ubar: np.ndarray
     Utilde: np.ndarray
     Ebar: np.ndarray
     Etilde: np.ndarray
+    newton: NewtonReport | None = None
 
     def __post_init__(self):
         for arr in (self.Ubar, self.Utilde, self.Ebar, self.Etilde):
@@ -118,58 +143,73 @@ def spectral_derivative(u: np.ndarray) -> np.ndarray:
     return np.fft.irfft(dh, n=n)
 
 
-def solve_linear(rho: np.ndarray, grid: SpatialGrid):
-    """Linear potential Ubar = W * rho and field Ebar = -dUbar/dx, spectrally.
+def _first_row(mask: np.ndarray) -> int:
+    """Index of the first row of a (k, nx) mask, or 0 for an (nx,) mask, with a True entry."""
+    return int(np.argmax(mask.reshape(-1, mask.shape[-1]).any(axis=1)))
 
-    For k != 0 the Fourier multiplier is 1/(2 pi k)^2; the zero mode of Ubar
-    is -mass/12, the mean of the kernel times the mass of rho.
+
+def _check_stack(values: np.ndarray, grid: SpatialGrid, name: str):
+    """Refuse anything but one slice, shape (nx,), or a stack of slices, shape (k, nx)."""
+    if values.ndim not in (1, 2) or values.shape[-1] != grid.nx:
+        raise ParameterError(f"{name} shape {values.shape} is not (nx,) or (k, nx) with nx = {grid.nx}")
+
+
+def solve_linear(rho: np.ndarray, grid: SpatialGrid):
+    """Linear potential Ubar = W * rho and field Ebar = -dUbar/dx of each slice, spectrally.
+
+    rho is one slice, shape (nx,), or a stack, shape (k, nx).  For k != 0 the
+    Fourier multiplier is 1/(2 pi k)^2; the zero mode of Ubar is -mass/12,
+    the mean of the kernel times the mass of rho.  A negative density raises
+    DomainError with the index of its row.
     """
     rho = np.asarray(rho, dtype=float)
-    if rho.shape != (grid.nx,):
-        raise ParameterError(f"density shape {rho.shape} does not match grid ({grid.nx},)")
+    _check_stack(rho, grid, "density")
     if np.any(rho < 0.0):
-        raise DomainError("density must be nonnegative on all nodes")
+        raise DomainError("density must be nonnegative on all nodes", _first_row(rho < 0.0))
     n = grid.nx
     rh = np.fft.rfft(rho)
     k = np.arange(n // 2 + 1, dtype=float)
-    Uh = np.zeros_like(rh)
-    Uh[1:] = rh[1:] / (2.0 * np.pi * k[1:]) ** 2
-    Uh[0] = -rh[0] / 12.0
-    Eh = -(2j * np.pi * k) * Uh
-    Eh[0] = 0.0
+    spectra = np.zeros((2,) + rh.shape, dtype=complex)  # Ubar's and Ebar's, transformed back in one call
+    Uh, Eh = spectra
+    Uh[..., 1:] = rh[..., 1:] / (2.0 * np.pi * k[1:]) ** 2
+    Uh[..., 0] = -rh[..., 0] / 12.0
+    Eh[...] = -(2j * np.pi * k) * Uh
+    Eh[..., 0] = 0.0
     if n % 2 == 0:
-        Eh[-1] = 0.0
-    Ubar = np.fft.irfft(Uh, n=n)
-    Ebar = np.fft.irfft(Eh, n=n)
+        Eh[..., -1] = 0.0
+    Ubar, Ebar = np.fft.irfft(spectra, n=n)
     return Ubar, Ebar
 
 
 def solve_cyclic_tridiagonal(sub, diag, sup, corner_ul, corner_lr, rhs):
-    """Solve a cyclic tridiagonal system.
+    """Solve a cyclic tridiagonal system, or a stack of them, one per row of rhs.
 
-    sub/diag/sup are the three bands (sub[0] and sup[-1] unused), corner_ul is
-    A[0, n-1] and corner_lr is A[n-1, 0].  Sherman-Morrison reduces it to a
-    plain tridiagonal matrix with two right-hand sides, rhs and the rank-one
-    vector, both eliminated in one pass by cyclic reduction (`_tridiagonal`).
-    Like the Thomas algorithm it needs no pivoting when the matrix is strictly
-    diagonally dominant.
+    rhs has shape (n,) or (k, n).  The bands sub/diag/sup (sub[..., 0] and
+    sup[..., -1] unused) broadcast against it, so a scalar or an (n,) band is
+    shared by every row; the corners corner_ul = A[0, n-1] and
+    corner_lr = A[n-1, 0] are scalars or one per row, shape (k,).
+    Sherman-Morrison reduces each system to a plain tridiagonal matrix with
+    two right-hand sides, rhs and the rank-one vector, all eliminated in one
+    pass by cyclic reduction (`_tridiagonal`).  Like the Thomas algorithm it
+    needs no pivoting when the matrix is strictly diagonally dominant.
     """
-    n = diag.size
-    gamma = -diag[0]
-    a = np.array(sub, dtype=float)
-    b = np.array(diag, dtype=float)
-    c = np.array(sup, dtype=float)
-    a[0] = 0.0
-    c[-1] = 0.0
-    b[0] -= gamma
-    b[-1] -= corner_ul * corner_lr / gamma
-    d = np.zeros((2, n))
-    d[0] = rhs
-    d[1, 0] = gamma
-    d[1, -1] = corner_lr
-    x, z = _tridiagonal(a, b, c, d)
-    factor = (x[0] + corner_ul * x[-1] / gamma) / (1.0 + z[0] + corner_ul * z[-1] / gamma)
-    return x - factor * z
+    rhs = np.asarray(rhs, dtype=float)
+    n = rhs.shape[-1]
+    rows = rhs.reshape(-1, n)
+    a, b, c = np.empty((3,) + rows.shape)
+    a[:], b[:], c[:] = sub, diag, sup
+    gamma = -b[:, 0]
+    a[:, 0] = 0.0
+    c[:, -1] = 0.0
+    b[:, 0] -= gamma
+    b[:, -1] -= corner_ul * corner_lr / gamma
+    d = np.zeros((2,) + rows.shape)
+    d[0] = rows
+    d[1, :, 0] = gamma
+    d[1, :, -1] = corner_lr
+    x, z = _tridiagonal(a.ravel(), b.ravel(), c.ravel(), d.reshape(2, -1), n).reshape(d.shape)
+    factor = (x[:, 0] + corner_ul * x[:, -1] / gamma) / (1.0 + z[:, 0] + corner_ul * z[:, -1] / gamma)
+    return (x - factor[:, None] * z).reshape(rhs.shape)
 
 
 # Below this many unknowns the sequential sweep beats another level of
@@ -177,22 +217,33 @@ def solve_cyclic_tridiagonal(sub, diag, sup, corner_ul, corner_lr, rhs):
 _BASE_SIZE = 64
 
 
-def _tridiagonal(a, b, c, d):
-    """Solve the tridiagonal system (a, b, c) for every row of d, shape (k, n).
+def _pad(x: np.ndarray, n: int, value: float) -> np.ndarray:
+    """x, systems of n unknowns laid end to end along its last axis, with one more unknown equal to value after each."""
+    rows = x.reshape(x.shape[:-1] + (-1, n))
+    out = np.full(rows.shape[:-1] + (n + 1,), value)
+    out[..., :n] = rows
+    return out.reshape(x.shape[:-1] + (-1,))
 
-    a[0] and c[-1] must be zero.  Cyclic (odd-even) reduction: each odd
-    unknown is eliminated from its two even neighbours, the half-size system
-    for the even unknowns is solved recursively, and the odd unknowns follow
-    from their own equations.  Odd n is padded with one identity row.
+
+def _tridiagonal(a, b, c, d, n):
+    """Solve the tridiagonal systems of n unknowns laid end to end in a, b, c, for both right-hand sides d[0], d[1].
+
+    The first entry of a and the last of c in every system must be zero, so
+    the systems stay decoupled.  Cyclic (odd-even) reduction: each odd
+    unknown is eliminated from its two even neighbours, the half-size systems
+    for the even unknowns are solved recursively, and the odd unknowns follow
+    from their own equations.  Odd n is padded with one identity row in every
+    system.  Each system gets the bits of a solve on its own: the terms that
+    couple neighbouring systems are products with those zero entries, so they
+    add exact zeros (at most the sign of a result that is exactly zero can
+    differ).
     """
-    n = b.size
     if n <= _BASE_SIZE:
-        return _thomas(a, b, c, d)
+        return _thomas(a, b, c, d, n)
+    m = n
     if n % 2:
-        a = np.append(a, 0.0)
-        b = np.append(b, 1.0)
-        c = np.append(c, 0.0)
-        d = np.concatenate((d, np.zeros((d.shape[0], 1))), axis=1)
+        a, b, c, d = _pad(a, n, 0.0), _pad(b, n, 1.0), _pad(c, n, 0.0), _pad(d, n, 0.0)
+        n += 1
     # Odd equations scaled to unit diagonal: x_o = do - ao x_e[m] - co x_e[m+1].
     inv = 1.0 / b[1::2]
     ao = a[1::2] * inv
@@ -206,39 +257,101 @@ def _tridiagonal(a, b, c, d):
     b2[1:] -= ae[1:] * co[:-1]
     d2 = de - ce * do
     d2[:, 1:] -= ae[1:] * do[:, :-1]
-    xe = _tridiagonal(a2, b2, c2, d2)
+    xe = _tridiagonal(a2, b2, c2, d2, n // 2)
     xo = do - ao * xe
     xo[:, :-1] -= co[:-1] * xe[:, 1:]
     x = np.empty_like(d)
     x[:, 0::2] = xe
     x[:, 1::2] = xo
-    return x[:, :n]
+    if m < n:
+        x = x.reshape(2, -1, n)[:, :, :m].reshape(2, -1)
+    return x
 
 
-def _thomas(a, b, c, d):
-    """Sequential Thomas sweep for every row of d, on Python floats."""
-    a, b, c = a.tolist(), b.tolist(), c.tolist()
-    n = len(b)
-    w = [0.0] * n
-    cp = [0.0] * n
-    prev = 0.0
-    for i in range(n):
-        w[i] = 1.0 / (b[i] - a[i] * prev)
-        prev = cp[i] = c[i] * w[i]
-    out = np.empty((len(d), n))
-    for row, rhs in zip(out, d.tolist()):
-        y = [0.0] * n
-        prev = 0.0
-        for i in range(n):
-            prev = y[i] = (rhs[i] - a[i] * prev) * w[i]
-        for i in range(n - 2, -1, -1):
-            prev = y[i] = y[i] - cp[i] * prev
-        row[:] = y
-    return out
+def _thomas(a, b, c, d, n):
+    """Sequential Thomas sweeps of systems of n unknowns laid end to end, for both right-hand sides d[0], d[1].
+
+    The sweeps run on Python floats, a few whole systems (at most 256
+    unknowns) at a time: a float in a list takes four times the memory it
+    takes in an array, and lists of a whole stack raise a run's peak memory.
+    One forward loop factors the matrix and eliminates both right-hand sides.
+    The zero first entry of a and last entry of c in each system keep the
+    systems decoupled.
+    """
+    x = np.empty_like(d)
+    width = n * max(1, 256 // n)
+    for lo in range(0, b.size, width):
+        part = slice(lo, lo + width)
+        ap, bp, cp = a[part].tolist(), b[part].tolist(), c[part].tolist()
+        y, z = d[:, part].tolist()
+        pc = py = pz = 0.0
+        for i in range(len(bp)):
+            ai = ap[i]
+            wi = 1.0 / (bp[i] - ai * pc)
+            pc = cp[i] = cp[i] * wi
+            py = y[i] = (y[i] - ai * py) * wi
+            pz = z[i] = (z[i] - ai * pz) * wi
+        for i in range(len(bp) - 2, -1, -1):
+            ci = cp[i]
+            py = y[i] = y[i] - ci * py
+            pz = z[i] = z[i] - ci * pz
+        x[0, part], x[1, part] = y, z
+    return x
 
 
-def _laplacian(u: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / h**2
+def _residual(Ubar, U, h):
+    """The residual d^2 U - (exp(Ubar + U) - 1) of the difference equation, and exp(Ubar + U)."""
+    e = np.exp(Ubar + U)
+    wrapped = np.concatenate((U[:, -1:], U, U[:, :1]), axis=1)  # U[j - 1] .. U[j + 1], periodically
+    return (wrapped[:, 2:] - 2.0 * U + wrapped[:, :-2]) / h**2 - (e - 1.0), e
+
+
+def _line_search(Ubar, U, F, e, res, delta, h, lam=1.0):
+    """Per row, the first damped step U + lam delta, lam halved while > 1e-12, that lowers the max-norm residual.
+
+    Returns the rows' new U, residual F, exp(Ubar + U) and max-norm residual,
+    and the mask of rows where no step did: they stall and keep what they had.
+    """
+    trial = U + lam * delta
+    Ft, et = _residual(Ubar, trial, h)
+    rt = np.max(np.abs(Ft), axis=1)
+    worse = ~(rt < res)
+    stalled = worse
+    if worse.any():
+        if lam / 2.0 > 1e-12:
+            stalled = worse.copy()
+            step = _line_search(Ubar[worse], U[worse], F[worse], e[worse], res[worse], delta[worse], h, lam / 2.0)
+            trial[worse], Ft[worse], et[worse], rt[worse], stalled[worse] = step
+        else:
+            trial[worse], Ft[worse], et[worse], rt[worse] = U[worse], F[worse], e[worse], res[worse]
+    return trial, Ft, et, rt, stalled
+
+
+# Points that solve_nonlinear iterates as one stack: enough rows to spread
+# numpy's per-call overhead, few enough that the temporaries of a Newton step
+# stay about the size of a transport block (scheme.TRANSPORT_BLOCK), so that a
+# field update does not raise a run's peak memory.
+_STACK_POINTS = 16384
+
+
+def _newton(rows, U, res, steps, stalled, h, tol, max_iter):
+    """Damped Newton on a stack of Ubar rows, filling in its U, res, steps and stalled (views of the caller's arrays)."""
+    inv_h2 = 1.0 / h**2
+    F, e = _residual(rows, U, h)
+    res[:] = np.max(np.abs(F), axis=1)
+    live = np.arange(len(rows))  # the rows still iterating; ub, u, f, e, r, stuck are theirs
+    ub, u, f, r, stuck = rows, U, F, res, stalled
+    for step in range(max_iter + 1):
+        done = stuck | (r <= tol)
+        if step == max_iter or done.all():
+            U[live], res[live], stalled[live], steps[live] = u, r, stuck, step
+            break
+        if done.any():
+            gone = live[done]
+            U[gone], res[gone], stalled[gone], steps[gone] = u[done], r[done], stuck[done], step
+            live, ub, u, f, e, r = (x[~done] for x in (live, ub, u, f, e, r))
+        delta = solve_cyclic_tridiagonal(inv_h2, -2.0 * inv_h2 - e, inv_h2, inv_h2, inv_h2, -f)
+        u, f, e, r, stuck = _line_search(ub, u, f, e, r, delta, h)
 
 
 def solve_nonlinear(
@@ -247,66 +360,59 @@ def solve_nonlinear(
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
 ):
-    """Solve d^2 Utilde = exp(Ubar + Utilde) - 1 with damped Newton.
+    """Solve d^2 Utilde = exp(Ubar + Utilde) - 1 with damped Newton, for one slice or a stack.
 
-    The Jacobian L - diag(exp(Ubar + Utilde)) is strictly negative definite,
-    so the full step is reliable; damping halves the step until the max-norm
-    residual decreases.  Newton stops once the max-norm residual is <= tol.
-    When the line search stalls above tol, the iterate is accepted if its
+    Ubar has shape (nx,) or (k, nx); each row is solved on its own.  The
+    Jacobian L - diag(exp(Ubar + Utilde)) is strictly negative definite, so
+    the full step is reliable; damping halves a row's step until its max-norm
+    residual decreases.  A row stops once its max-norm residual is <= tol.
+    When its line search stalls above tol, the row is accepted if its
     residual is within the round-off floor of the 1/h^2 difference operator,
     4 eps max|Utilde| / h^2 (on fine grids that floor exceeds an absolute
     tol); otherwise, and when max_iter runs out, SolverDivergenceError is
-    raised.  Returns (Utilde, Etilde) with Etilde the spectral derivative of
-    -Utilde.
+    raised, with the index and residual of the first failing row.  The rows
+    are iterated in stacks of about _STACK_POINTS points; rows that have
+    stopped leave the working set, and each step solves the Jacobian systems
+    of the rows left in one stacked call.  Returns (Utilde, Etilde, report):
+    Etilde is the spectral derivative of -Utilde and report the NewtonReport.
     """
     Ubar = np.asarray(Ubar, dtype=float)
+    _check_stack(Ubar, grid, "Ubar")
     if not np.all(np.isfinite(Ubar)):
-        raise DomainError("Ubar must be finite on all nodes")
-    n = grid.nx
-    h = grid.h
-    inv_h2 = 1.0 / h**2
-    off = np.full(n, inv_h2)
-    U = np.zeros(n)
-
-    def residual(u):
-        return _laplacian(u, h) - (np.exp(Ubar + u) - 1.0)
-
-    F = residual(U)
-    res = float(np.max(np.abs(F)))
-    stalled = False
-    for _ in range(max_iter):
-        if res <= tol:
-            break
-        diag = -2.0 * inv_h2 - np.exp(Ubar + U)
-        delta = solve_cyclic_tridiagonal(off, diag, off, inv_h2, inv_h2, -F)
-        lam = 1.0
-        while lam > 1e-12:
-            trial = U + lam * delta
-            Ft = residual(trial)
-            rt = float(np.max(np.abs(Ft)))
-            if rt < res:
-                U, F, res = trial, Ft, rt
-                break
-            lam /= 2.0
-        else:
-            stalled = True
-            break
-    floor = 4.0 * _EPS * float(np.max(np.abs(U))) * inv_h2
-    if res > tol and not (stalled and res <= floor):
-        raise SolverDivergenceError(
-            f"Newton failed to reach residual {tol:g} (last residual {res:g}, "
-            f"round-off floor {floor:g})",
-            res,
-        )
-    Etilde = -spectral_derivative(U)
-    return U, Etilde
+        raise DomainError("Ubar must be finite on all nodes", _first_row(~np.isfinite(Ubar)))
+    inv_h2 = 1.0 / grid.h**2
+    rows = Ubar.reshape(-1, grid.nx)
+    U = np.zeros(rows.shape)
+    res = np.empty(len(rows))
+    steps = np.zeros(len(rows), dtype=int)
+    stalled = np.zeros(len(rows), dtype=bool)
+    size = max(1, _STACK_POINTS // grid.nx)
+    for lo in range(0, len(rows), size):
+        part = slice(lo, lo + size)
+        _newton(rows[part], U[part], res[part], steps[part], stalled[part], grid.h, tol, max_iter)
+    above = np.flatnonzero(res > tol)
+    if above.size:
+        floor = 4.0 * _EPS * np.max(np.abs(U[above]), axis=1) * inv_h2
+        failed = ~(stalled[above] & (res[above] <= floor))
+        if failed.any():
+            j = int(np.argmax(failed))
+            i = int(above[j])
+            raise SolverDivergenceError(
+                f"Newton failed to reach residual {tol:g} (last residual {res[i]:g}, "
+                f"round-off floor {floor[j]:g})",
+                float(res[i]),
+                i,
+            )
+    lead = Ubar.shape[:-1]
+    report = NewtonReport(steps.reshape(lead), res.reshape(lead), stalled.reshape(lead))
+    return U.reshape(Ubar.shape), -spectral_derivative(U).reshape(Ubar.shape), report
 
 
 def make_field_slice(rho: np.ndarray, grid: SpatialGrid) -> FieldSlice:
-    """Run the linear and nonlinear solves for one density slice."""
+    """Run the linear and nonlinear solves for one density slice, or for a stack of them at once."""
     Ubar, Ebar = solve_linear(rho, grid)
-    Utilde, Etilde = solve_nonlinear(Ubar, grid)
-    return FieldSlice(Ubar=Ubar, Utilde=Utilde, Ebar=Ebar, Etilde=Etilde)
+    Utilde, Etilde, newton = solve_nonlinear(Ubar, grid)
+    return FieldSlice(Ubar=Ubar, Utilde=Utilde, Ebar=Ebar, Etilde=Etilde, newton=newton)
 
 
 def verify_potential_bounds(slice_: FieldSlice) -> BoundsReport:
@@ -329,16 +435,15 @@ def verify_potential_bounds(slice_: FieldSlice) -> BoundsReport:
 def stability_ratio(Ubar1: np.ndarray, Ubar2: np.ndarray, grid: SpatialGrid) -> float:
     """||dUtilde1 - dUtilde2||_inf / ||Ubar1 - Ubar2||_inf after both nonlinear solves.
 
-    Bounded by e^6 for potentials arising from admissible densities.
+    The two potentials are solved as one two-row stack.  Bounded by e^6 for
+    potentials arising from admissible densities.
     """
-    Ubar1 = np.asarray(Ubar1, dtype=float)
-    Ubar2 = np.asarray(Ubar2, dtype=float)
-    denom = float(np.max(np.abs(Ubar1 - Ubar2)))
+    Ubar = np.array([Ubar1, Ubar2], dtype=float)
+    denom = float(np.max(np.abs(Ubar[0] - Ubar[1])))
     if denom == 0.0:
         raise DegenerateRatioError("potentials are identical on all nodes")
-    _, Et1 = solve_nonlinear(Ubar1, grid)
-    _, Et2 = solve_nonlinear(Ubar2, grid)
-    return float(np.max(np.abs(Et1 - Et2))) / denom
+    _, Etilde, _ = solve_nonlinear(Ubar, grid)
+    return float(np.max(np.abs(Etilde[0] - Etilde[1]))) / denom
 
 
 E6 = math.e**6

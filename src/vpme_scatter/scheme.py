@@ -3,11 +3,11 @@
 The solution is f(t, x, v) = f*(label), the label being the free-flight state
 its characteristic reaches at the horizon; transported_datum reads f this way
 on the (x, v) mesh of each time slice.  Each sweep integrates out the velocity
-(composite Simpson) and re-solves the split Poisson problem slice by slice;
-the field history of a sweep keeps the potentials it solved, so the run's
-final history carries the slices that diagnostics.certify reads.  Convergence
-is tracked in the exponentially weighted sup norm, whose successive deltas
-contract with factor 1/2 in the theorem regime.
+(composite Simpson) and re-solves the split Poisson problem on all slices as
+one stack; the field history of a sweep keeps the potentials it solved, so
+the run's final history carries the slices that diagnostics.certify reads.
+Convergence is tracked in the exponentially weighted sup norm, whose
+successive deltas contract with factor 1/2 in the theorem regime.
 
 Past a history's quiet time every characteristic is free flight,
 f(t, x, v) = f*(x - v t, v), so the Simpson sum of a slice there is a closed
@@ -122,8 +122,11 @@ class SweepStats:
     the number of phase points each transported slice carries ((nv/2 + 1) nx
     for a reflection-symmetric datum, (nv + 1) nx otherwise); sampled_points
     counts the field samples of the transport (three per Nystrom step taken
-    per transported point); push_s and update_s are the wall times of the
-    density push and the field update.
+    per transported point); newton_steps sums the Newton steps (Jacobian
+    solves) of the field update over its slices, newton_residual is the worst
+    slice's final max-norm residual and newton_at_floor counts the slices
+    accepted at the round-off floor above poisson.NEWTON_TOL; push_s and
+    update_s are the wall times of the density push and the field update.
     """
 
     quiet_time: float
@@ -133,6 +136,9 @@ class SweepStats:
     tolerance: float
     mesh_points: int
     sampled_points: int
+    newton_steps: int
+    newton_residual: float
+    newton_at_floor: int
     push_s: float
     update_s: float
 
@@ -408,18 +414,26 @@ def _sampled_points(history: FieldHistory, composed: np.ndarray, mesh: int) -> i
 
 
 def field_update(density: DensityHistory, grid: SpatialGrid) -> FieldHistory:
-    """Solve the split Poisson problem on every slice and assemble the new field.
+    """Solve the split Poisson problem on every slice, as one stack, and assemble the new field.
 
-    The history keeps each slice's Ubar and Utilde beside the field.
+    The history keeps the slices' Ubar and Utilde beside the field, and the
+    NewtonReport of the solve.  An error of the solve names its slice.
     """
-    slices = []
-    for i in range(density.times.size):
-        try:
-            slices.append(make_field_slice(density.rho[i], grid))
-        except (ParameterError, DomainError, SolverDivergenceError) as exc:
-            exc.args = (f"slice {i} (t={density.times[i]:g}): {exc}",)
-            raise
-    return FieldHistory.from_slices(density.times, grid, slices)
+    try:
+        solved = make_field_slice(density.rho, grid)
+    except (DomainError, SolverDivergenceError) as exc:
+        i = exc.index
+        exc.args = (f"slice {i} (t={density.times[i]:g}): {exc}",)
+        raise
+    return FieldHistory(
+        times=density.times,
+        grid=grid,
+        Ebar=solved.Ebar,
+        Etilde=solved.Etilde,
+        Ubar=solved.Ubar,
+        Utilde=solved.Utilde,
+        newton=solved.newton,
+    )
 
 
 def weighted_norm_array(times: np.ndarray, values: np.ndarray, a: float, t0: float) -> float:
@@ -483,8 +497,10 @@ def run_iteration(
     the sweep itself changes until the last sweeps, and the convergence test
     compares the actual iterates, so a converged run stays within
     O(fixed_point_tol) of the strict fixed point.  Every field update
-    still solves all slices.  What each sweep did and cost is recorded in
-    result.sweeps.
+    solves all slices, as one stack (field_update), so a slice whose density
+    repeats the previous sweep's costs only its share of that one solve.
+    What each sweep did and cost, Newton steps and residuals included, is
+    recorded in result.sweeps.
     """
     klass = datum.klass
     if report is None:
@@ -521,6 +537,7 @@ def run_iteration(
         new_history = field_update(density, grid)
         updated = time.perf_counter()
         transported = _transported_slices(history)
+        newton = new_history.newton
         result.sweeps.append(
             SweepStats(
                 quiet_time=history.quiet_time(),
@@ -530,6 +547,9 @@ def run_iteration(
                 tolerance=tolerance,
                 mesh_points=mesh,
                 sampled_points=_sampled_points(history, density.composed, mesh),
+                newton_steps=int(newton.steps.sum()),
+                newton_residual=float(newton.residual.max()),
+                newton_at_floor=int(newton.at_floor.sum()),
                 push_s=pushed - start,
                 update_s=updated - pushed,
             )

@@ -99,7 +99,7 @@ def test_criterion_3_nonlinear_poisson_linearization():
     grid = SpatialGrid(512)
     eps = 1e-4
     Ubar = eps * np.cos(2 * np.pi * grid.nodes)
-    Utilde, _ = solve_nonlinear(Ubar, grid)
+    Utilde, _, _ = solve_nonlinear(Ubar, grid)
     oracle = -eps * np.cos(2 * np.pi * grid.nodes) / (1.0 + 4.0 * np.pi**2)
     err = float(np.max(np.abs(Utilde - oracle)))
     second_order = (eps**2 / 4.0) * (4 * np.pi**2 / (1 + 4 * np.pi**2)) ** 2
@@ -117,7 +117,7 @@ def test_criterion_3_linearization_attainable():
     grid = SpatialGrid(512)
     eps = 1e-4
     Ubar = eps * np.cos(2 * np.pi * grid.nodes)
-    Utilde, _ = solve_nonlinear(Ubar, grid, tol=1e-10, max_iter=10)
+    Utilde, _, _ = solve_nonlinear(Ubar, grid, tol=1e-10, max_iter=10)
     oracle = -eps * np.cos(2 * np.pi * grid.nodes) / (1.0 + 4.0 * np.pi**2)
     osc_err = float(np.max(np.abs((Utilde - np.mean(Utilde)) - oracle)))
     h = grid.h

@@ -18,6 +18,7 @@ from vpme_scatter.config import (
     serialize_config,
 )
 from vpme_scatter.errors import ConfigError
+from vpme_scatter.poisson import NEWTON_TOL
 from vpme_scatter.scheme import RunSettings
 
 MINIMAL = """
@@ -248,6 +249,9 @@ class TestRunCommand:
         # The last slice before the quiet time is never composed.
         assert all(s["composed"] <= max(s["transported"] - 1, 0) for s in sweeps)
         assert all(s["push_s"] > 0.0 and s["update_s"] > 0.0 for s in sweeps)
+        # Every slice takes at least one Newton step from Utilde = 0 and ends within the tolerance.
+        assert all(s["newton_steps"] >= nodes and s["newton_at_floor"] == 0 for s in sweeps)
+        assert all(s["newton_residual"] <= NEWTON_TOL for s in sweeps)
         summary = (out / "summary.txt").read_text().splitlines()
         for n, s in enumerate(sweeps, start=1):
             line = (
@@ -255,7 +259,9 @@ class TestRunCommand:
                 f" slices transported {s['transported']}, reused {s['reused']},"
                 f" composed {s['composed']} within tolerance {s['tolerance']!r},"
                 f" mesh points {s['mesh_points']},"
-                f" sampled points {s['sampled_points']}"
+                f" sampled points {s['sampled_points']},"
+                f" Newton steps {s['newton_steps']} (worst residual {s['newton_residual']!r},"
+                f" {s['newton_at_floor']} at the round-off floor)"
             )
             assert line in summary
 

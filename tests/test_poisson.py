@@ -16,6 +16,7 @@ from vpme_scatter.errors import (
 )
 from vpme_scatter.poisson import (
     E6,
+    NEWTON_TOL,
     SpatialGrid,
     kernel_eval,
     make_field_slice,
@@ -211,7 +212,7 @@ class TestNonlinearSolve:
     def test_constant_case(self):
         grid = SpatialGrid(64)
         for m in (0.1, 1.0):
-            Utilde, Etilde = solve_nonlinear(np.full(64, -m / 12.0), grid)
+            Utilde, Etilde, _ = solve_nonlinear(np.full(64, -m / 12.0), grid)
             np.testing.assert_allclose(Utilde, m / 12.0, atol=1e-10)
             np.testing.assert_allclose(Etilde, 0.0, atol=1e-10)
 
@@ -237,7 +238,7 @@ class TestNonlinearSolve:
         grid = SpatialGrid(256)
         eps = 1e-5
         Ubar = eps * np.cos(2 * np.pi * grid.nodes)
-        Utilde, _ = solve_nonlinear(Ubar, grid)
+        Utilde, _, _ = solve_nonlinear(Ubar, grid)
         oracle = -eps * np.cos(2 * np.pi * grid.nodes) / (1.0 + 4.0 * np.pi**2)
         assert np.max(np.abs(Utilde - oracle)) < 5.0 * eps**2
 
@@ -321,3 +322,123 @@ class TestBoundsAndStability:
         U = np.zeros(16)
         with pytest.raises(DegenerateRatioError):
             stability_ratio(U, U.copy(), grid)
+
+
+def _densities(nx, amplitudes, seed=0):
+    """One density row per amplitude: a random level times three random harmonics of that amplitude."""
+    rng = np.random.default_rng(seed)
+    x = np.arange(nx) / nx
+    rows = []
+    for amp in amplitudes:
+        rho = rng.uniform(0.2, 1.5) * np.ones(nx)
+        for k in (1, 2, 3):
+            rho = rho * (1.0 + amp * rng.uniform(-1, 1) * np.cos(2 * np.pi * k * x + rng.uniform(0, 2 * np.pi)))
+        rows.append(rho)
+    return np.array(rows)
+
+
+class TestStacks:
+    """A stack of slices, shape (k, nx), gives every row the bits of its own one-slice solve."""
+
+    @pytest.mark.parametrize("nx", [16, 64, 256, 1024])
+    def test_stacked_solves_equal_per_row_solves(self, nx):
+        grid = SpatialGrid(nx)
+        rho = _densities(nx, [0.0, 1e-6, 0.05, 0.25, 0.25], seed=nx)
+        Ubar, Ebar = solve_linear(rho, grid)
+        Utilde, Etilde, report = solve_nonlinear(Ubar, grid)
+        stack = make_field_slice(rho, grid)
+        for i, r in enumerate(rho):
+            Ub, Eb = solve_linear(r, grid)
+            assert np.array_equal(Ubar[i], Ub) and np.array_equal(Ebar[i], Eb)
+            Ut, Et, one = solve_nonlinear(Ub, grid)
+            assert np.array_equal(Utilde[i], Ut) and np.array_equal(Etilde[i], Et)
+            assert one.steps.shape == () and one.steps == report.steps[i]
+            assert one.residual == report.residual[i] and one.at_floor == report.at_floor[i]
+            s = make_field_slice(r, grid)
+            for name in ("Ubar", "Utilde", "Ebar", "Etilde"):
+                assert np.array_equal(getattr(stack, name)[i], getattr(s, name))
+        assert np.array_equal(stack.newton.steps, report.steps)
+
+    def test_stacked_cyclic_tridiagonal_equals_per_row_solves(self):
+        rng = np.random.default_rng(5)
+        # The sizes of TestCyclicTridiagonal: 65, 127, 130, 257 and 1031 are
+        # padded on some level of the reduction, 33 goes straight to Thomas.
+        for n in (33, 65, 127, 130, 257, 1031):
+            sub, sup, rhs = rng.normal(size=(3, 4, n))
+            diag = 6.0 + rng.normal(size=(4, n))
+            ul, lr = rng.normal(size=(2, 4))
+            got = solve_cyclic_tridiagonal(sub, diag, sup, ul, lr, rhs)
+            for i in range(4):
+                one = solve_cyclic_tridiagonal(sub[i], diag[i], sup[i], ul[i], lr[i], rhs[i])
+                assert np.array_equal(got[i], one)
+            shared = solve_cyclic_tridiagonal(sub[0], diag[0], sup[0], ul[0], lr[0], rhs)
+            for i in range(4):
+                assert np.array_equal(shared[i], solve_cyclic_tridiagonal(sub[0], diag[0], sup[0], ul[0], lr[0], rhs[i]))
+
+    def test_mixed_stack_of_converged_quiet_and_loud_rows(self):
+        grid = SpatialGrid(128)
+        x = grid.nodes
+        Ubar = np.array(
+            [
+                np.zeros(128),  # Utilde = 0 solves it: converged at step 0
+                1e-8 * np.cos(2 * np.pi * x),  # quiet
+                0.8 * np.cos(2 * np.pi * x) + 0.3 * np.sin(6 * np.pi * x),  # loud
+                np.full(128, -1.0 / 12.0),  # constant
+                1e-8 * np.sin(4 * np.pi * x),  # quiet
+            ]
+        )
+        Utilde, Etilde, report = solve_nonlinear(Ubar, grid)
+        assert report.steps[0] == 0 and np.all(Utilde[0] == 0.0) and report.residual[0] == 0.0
+        assert report.steps[1] < report.steps[2] and report.steps[4] < report.steps[2]
+        assert np.all(report.residual <= NEWTON_TOL) and not report.at_floor.any()
+        for i, row in enumerate(Ubar):
+            Ut, Et, one = solve_nonlinear(row, grid)
+            assert np.array_equal(Utilde[i], Ut) and np.array_equal(Etilde[i], Et)
+            assert one.steps == report.steps[i] and one.residual == report.residual[i]
+
+    def test_rows_accepted_at_the_floor_are_reported(self):
+        # At nx=2048 some rows stall just above the 1e-10 tolerance, within the round-off floor.
+        grid = SpatialGrid(2048)
+        Ubar, _ = solve_linear(_densities(2048, [0.25] * 4, seed=3), grid)
+        _, _, report = solve_nonlinear(Ubar, grid)
+        assert report.at_floor.any()
+        assert np.array_equal(report.at_floor, report.residual > NEWTON_TOL)
+
+    def test_failing_row_is_named(self):
+        grid = SpatialGrid(64)
+        x = grid.nodes
+        loud = 0.5 * np.cos(2 * np.pi * x)
+        with pytest.raises(SolverDivergenceError) as alone:
+            solve_nonlinear(loud, grid, max_iter=1)
+        assert alone.value.index == 0
+        with pytest.raises(SolverDivergenceError, match="^Newton failed") as info:
+            solve_nonlinear(np.array([np.zeros(64), loud, np.zeros(64)]), grid, max_iter=1)
+        assert info.value.index == 1
+        assert info.value.residual == alone.value.residual
+
+    def test_domain_errors_name_their_row(self):
+        grid = SpatialGrid(16)
+        rho = np.full((3, 16), 0.5)
+        rho[2, 5] = -1e-3
+        with pytest.raises(DomainError) as info:
+            solve_linear(rho, grid)
+        assert info.value.index == 2
+        Ubar = np.zeros((3, 16))
+        Ubar[1, 0] = np.nan
+        with pytest.raises(DomainError) as info:
+            solve_nonlinear(Ubar, grid)
+        assert info.value.index == 1
+
+    def test_rejects_stack_of_wrong_width(self):
+        with pytest.raises(ParameterError):
+            solve_linear(np.ones((2, 16)), SpatialGrid(32))
+        with pytest.raises(ParameterError):
+            solve_nonlinear(np.zeros((2, 2, 16)), SpatialGrid(16))
+
+    def test_stability_ratio_equals_two_one_row_solves(self):
+        grid = SpatialGrid(256)
+        U1, U2 = solve_linear(_densities(256, [0.2, 0.3], seed=9), grid)[0]
+        _, E1, _ = solve_nonlinear(U1, grid)
+        _, E2, _ = solve_nonlinear(U2, grid)
+        expected = float(np.max(np.abs(E1 - E2))) / float(np.max(np.abs(U1 - U2)))
+        assert stability_ratio(U1, U2, grid) == expected

@@ -213,6 +213,19 @@ class TestDensityPush:
         with pytest.raises(ZeroDivisionError, match="^boom$"):
             field_update(dens, grid)
 
+    def test_sweep_newton_counters_are_the_per_slice_solves(self, exploratory_run):
+        # The last sweep solved the final density; one-row solves of its
+        # slices take the same steps to the same residuals.
+        run = exploratory_run
+        reports = [make_field_slice(rho, run.field_history.grid).newton for rho in run.density_history.rho]
+        last = run.sweeps[-1]
+        assert last.newton_steps == sum(int(r.steps) for r in reports) > 0
+        assert last.newton_residual == max(float(r.residual) for r in reports)
+        assert last.newton_at_floor == sum(bool(r.at_floor) for r in reports) == 0
+        newton = run.field_history.newton
+        assert [int(k) for k in newton.steps] == [int(r.steps) for r in reports]
+        assert np.array_equal(newton.residual, [float(r.residual) for r in reports])
+
 
 def _datum(family: str, sigma: float = 1.0):
     """The exploratory gaussian-cosine datum, or its bilinear table on a 32 x 161 grid."""
