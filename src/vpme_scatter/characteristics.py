@@ -28,13 +28,18 @@ blocking does not change a bit of the result.  Past the history's quiet time
 is advanced in closed form as free transport.
 
 transport_to_horizon carries a phase state to the horizon, which is what
-defines its label.  transport_to carries it to any later time; the mesh
-transport of scheme.transported_datum takes it across one time slice wherever
-it composes a slice's labels from those of the next slice.
+defines its label; it also carries a group of states with ascending start
+times on one lattice of steps, that of the earliest start, each member
+joining at its own start, so that a few small meshes are stepped as one
+array.  One start is the one-member group.  transport_to carries a state to
+any later time; the mesh transport of scheme.transported_datum takes it
+across one time slice wherever it composes a slice's labels from those of the
+next slice.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -193,25 +198,42 @@ def nystrom_steps(span: float, step: float) -> int:
 
 
 def _nystrom_span(field, t_from: float, t_to: float, X, V, step: float):
-    """Advance (X, V) from t_from to t_to with the fixed-step Nystrom method; either direction.
+    """Advance (X, V) from t_from to t_to with the fixed-step Nystrom method; either direction."""
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
+        raise IntegrationError(f"non-finite phase state at t={t_from:g}")
+    if t_to == t_from:
+        return X, V
+    nsteps = nystrom_steps(t_to - t_from, step)
+    X, V = _nystrom_steps(field, t_from, t_to, nsteps, X[None], V[None], [0])
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
+        raise IntegrationError(f"non-finite state integrating from t={t_from:g} to t={t_to:g}")
+    return X[0], V[0]
 
-    Per step, with X'' = E(t, X):
+
+def _nystrom_steps(field, t_from: float, t_to: float, nsteps: int, X, V, joins):
+    """The nsteps equal Nystrom steps from t_from to t_to of the state rows X, V, shape (k, ...).
+
+    Row m joins at step joins[m] (ascending, joins[0] = 0) and takes the
+    steps from there on; the rows are stepped as one array.  Per step, with
+    X'' = E(t, X):
         k1 = E(t, X)
         k2 = E(t + dt/2, X + dt/2 V + dt^2/8 k1)
         k3 = E(t + dt, X + dt V + dt^2/2 k2)
         X += dt V + dt^2/6 (k1 + 2 k2)
         V += dt/6 (k1 + 4 k2 + k3)
     """
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
-        raise IntegrationError(f"non-finite phase state at t={t_from:g}")
     span = t_to - t_from
-    if span == 0.0:
-        return X, V
-    nsteps = nystrom_steps(span, step)
+    X0, V0 = X, V
+    joined = bisect.bisect_right(joins, 0)
+    X, V = X0[:joined], V0[:joined]
     # Step endpoints are computed from t_from/t_to directly (never by
     # accumulation): round-off drift past the horizon would sample the
     # hard-zeroed field and poison the last step.
     for i in range(nsteps):
+        if joined < len(joins) and joins[joined] == i:
+            rows = bisect.bisect_right(joins, i)
+            X, V = np.concatenate((X, X0[joined:rows])), np.concatenate((V, V0[joined:rows]))
+            joined = rows
         t = t_from + span * (i / nsteps)
         t_next = t_to if i == nsteps - 1 else t_from + span * ((i + 1) / nsteps)
         dt = t_next - t
@@ -222,8 +244,6 @@ def _nystrom_span(field, t_from: float, t_to: float, X, V, step: float):
         k12 = k1 + 2.0 * k2
         X += (dt * dt / 6.0) * k12
         V = V + (dt / 6.0) * (k12 + 2.0 * k2 + k3)
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
-        raise IntegrationError(f"non-finite state integrating from t={t_from:g} to t={t_to:g}")
     return X, V
 
 
@@ -239,6 +259,43 @@ def transport_to(field, t: float, t_to: float, X, V, step: float):
     return X + V * (t_to - tq), V
 
 
-def transport_to_horizon(field, t: float, X, V, step: float):
-    """Forward map from phase state (X, V) at time t to the horizon."""
-    return transport_to(field, t, field.horizon, X, V, step)
+def transport_to_horizon(field, t, X, V, step: float):
+    """Forward map from phase states at their start times to the horizon.
+
+    t is one start time, with states X, V of any shape, or an ascending array
+    of k start times with states of shape (k, ...), one row per member.  The
+    members share one lattice of Nystrom steps, that of transport_to from the
+    earliest start to the quiet time: each joins at the lattice point of its
+    own start and is carried from there with the others.  A start must lie on
+    that lattice to within 1e-9 of a step (the time nodes of a history do, for
+    a step of history.dt / SUBSTEPS); a member then takes the steps of its own
+    transport, at times equal to round-off, and the earliest member, so a
+    single start, gets transport_to's bits.  A member starting at or past the
+    quiet time flies free from its start.
+    """
+    starts = np.asarray(t, dtype=float)
+    single = starts.ndim == 0
+    starts = starts.reshape(-1)
+    X, V = np.asarray(X, dtype=float), np.asarray(V, dtype=float)
+    if single:
+        X, V = X[None], V[None]
+    if X.shape != V.shape or X.shape[:1] != starts.shape or np.any(np.diff(starts) < 0.0):
+        raise ParameterError("transport needs ascending start times with one state row each")
+    t0 = float(starts[0])
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
+        raise IntegrationError(f"non-finite phase state at t={t0:g}")
+    T = field.horizon
+    tq = min(max(field.quiet_time(), t0), T)
+    nsteps = nystrom_steps(tq - t0, step)
+    k = int(np.count_nonzero(starts < tq))  # the members that step: a leading run
+    joins = [nsteps - nystrom_steps(tq - s, step) for s in starts[:k]]
+    for s, i in zip(starts[:k], joins):
+        if not abs(t0 + (tq - t0) * (i / nsteps) - s) <= 1e-9 * step:
+            raise ParameterError(f"start t={s:g} is off the step lattice of t={t0:g}")
+    Xs, Vs = _nystrom_steps(field, t0, tq, nsteps, X[:k], V[:k], joins)
+    if not (np.all(np.isfinite(Xs)) and np.all(np.isfinite(Vs))):
+        raise IntegrationError(f"non-finite state integrating from t={t0:g} to t={tq:g}")
+    if k < starts.size:
+        Xs, Vs = np.concatenate((Xs, X[k:])), np.concatenate((Vs, V[k:]))
+    Xs = Xs + Vs * (T - np.maximum(starts, tq)).reshape((-1,) + (1,) * (X.ndim - 1))
+    return (Xs[0], Vs[0]) if single else (Xs, Vs)

@@ -147,6 +147,7 @@ def render_summary(result: SchemeResult, reports: dict) -> str:
             f"  sweep {n}: quiet time {_fmt(sweep.quiet_time)},"
             f" slices transported {sweep.transported}, reused {sweep.reused},"
             f" composed {sweep.composed} within tolerance {_fmt(sweep.tolerance)},"
+            f" shared {sweep.shared}, discarded {sweep.discarded},"
             f" mesh points {sweep.mesh_points},"
             f" sampled points {sweep.sampled_points},"
             f" Newton steps {sweep.newton_steps} (worst residual {_fmt(sweep.newton_residual)},"

@@ -45,6 +45,16 @@ convergence test compares real successive iterates, so a converged run is
 within O(fixed_point_tol) of the same fixed point.  On the theorem-regime
 data nearly every slice composes from sweep 2 on, so a sweep costs O(n)
 Nystrom steps in place of O(n^2).
+
+A slice refused by that test is transported to the quiet time.  Where the
+refusal was expected (no tolerance, or the previous sweep transported the
+slice to the quiet time too), the slice is stepped with the next expected
+slices of the walk on one lattice, up to SHARED_POINTS phase points, and
+their labels are held until the walk reaches them: a mesh of a few thousand
+points costs a field sample little more per point than one of many
+thousands, and the late sweeps of a field loud to the horizon refuse nearly
+every slice.  Every admission decision is the same as without the grouping;
+a held slice that composes after all is discarded, and counted.
 """
 
 from __future__ import annotations
@@ -85,26 +95,43 @@ FORCING = 3e-3
 # 100k points, and blocks of 32,768 already cost more per point than blocks
 # of 16,384), large enough that per-call overhead stays small.
 TRANSPORT_BLOCK = 16384
+# Phase points of the slices stepped together on one Nystrom lattice: three
+# 2,112-point lingering slices.  Groups of up to 16,384 points ran no faster
+# there and raised the benchmark's peak resident memory by 2.1 MB against
+# 0.7 MB, since every temporary of a step grows with the group.
+SHARED_POINTS = 8192
 
 
 @dataclass(frozen=True)
 class DensityHistory:
-    """Time x space samples of the spatial density with per-slice mass.
+    """Time x space samples of the spatial density with per-slice mass, and what the push did.
 
     composed marks the slices whose labels push_density composed from the next
-    slice's (none when left None).
+    slice's and alone those it transported to the quiet time instead; shared
+    marks the slices of alone that were stepped on one Nystrom lattice with
+    others, and discarded those of composed that had been transported ahead
+    with others; all four are none when left None.  sampled_points counts the
+    field samples of the push, a discarded transport's included.
     """
 
     times: np.ndarray
     rho: np.ndarray
     mass: np.ndarray
     composed: np.ndarray | None = None
+    alone: np.ndarray | None = None
+    shared: np.ndarray | None = None
+    discarded: np.ndarray | None = None
+    sampled_points: int = 0
 
     def __post_init__(self):
-        if self.composed is None:
-            object.__setattr__(self, "composed", np.zeros(np.size(self.times), dtype=bool))
-        for name, dtype in (("times", float), ("rho", float), ("mass", float), ("composed", bool)):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
+        for name in ("composed", "alone", "shared", "discarded"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, np.zeros(np.size(self.times), dtype=bool))
+            arr = np.asarray(getattr(self, name), dtype=bool)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        for name in ("times", "rho", "mass"):
+            arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -118,15 +145,18 @@ class SweepStats:
     free-streaming sum; composed counts the transported slices whose labels
     came from the next slice's (transported one slice only); tolerance is the
     one field tolerance they were composed within (FORCING times the previous
-    sweep's weighted delta; 0, so none, in the first sweep); mesh_points is
-    the number of phase points each transported slice carries ((nv/2 + 1) nx
-    for a reflection-symmetric datum, (nv + 1) nx otherwise); sampled_points
-    counts the field samples of the transport (three per Nystrom step taken
-    per transported point); newton_steps sums the Newton steps (Jacobian
-    solves) of the field update over its slices, newton_residual is the worst
-    slice's final max-norm residual and newton_at_floor counts the slices
-    accepted at the round-off floor above poisson.NEWTON_TOL; push_s and
-    update_s are the wall times of the density push and the field update.
+    sweep's weighted delta; 0, so none, in the first sweep); shared counts
+    the slices transported to the quiet time on one Nystrom lattice with
+    other slices, and discarded the slices transported ahead with others that
+    composed after all; mesh_points is the number of phase points each
+    transported slice carries ((nv/2 + 1) nx for a reflection-symmetric
+    datum, (nv + 1) nx otherwise); sampled_points counts the field samples of
+    the transport (three per Nystrom step taken per transported point),
+    discarded transports included; newton_steps sums the Newton steps
+    (Jacobian solves) of the field update over its slices, newton_residual is
+    the worst slice's final max-norm residual and newton_at_floor counts the
+    slices accepted at the round-off floor above poisson.NEWTON_TOL; push_s
+    and update_s are the wall times of the density push and the field update.
     """
 
     quiet_time: float
@@ -134,6 +164,8 @@ class SweepStats:
     reused: int
     composed: int
     tolerance: float
+    shared: int
+    discarded: int
     mesh_points: int
     sampled_points: int
     newton_steps: int
@@ -235,10 +267,33 @@ def _composition_error(
     return displacement + max(float(D.max()), -float(D.min())) * interpolation
 
 
+@dataclass(frozen=True)
+class SliceTransport:
+    """How transported_datum got the labels of one slice, and the field samples that cost.
+
+    composed: read through the next slice's labels after one slice of steps;
+    shared: otherwise carried to the quiet time on one Nystrom lattice with
+    other slices; discarded: carried ahead with others, then composed after
+    all; sampled: the field samples taken for this slice, those of a
+    discarded transport included.
+    """
+
+    composed: bool
+    shared: bool
+    discarded: bool
+    sampled: int
+
+
 def transported_datum(
-    datum: AsymptoticDatum, history: FieldHistory, times, vmax: float, nv: int, tolerance: float = 0.0
+    datum: AsymptoticDatum,
+    history: FieldHistory,
+    times,
+    vmax: float,
+    nv: int,
+    tolerance: float = 0.0,
+    expect_alone=None,
 ):
-    """Yield (composed, f), f the transported datum on the velocity_grid(vmax, nv) x grid mesh, for each t in times.
+    """Yield (how, f), f the transported datum on the velocity_grid(vmax, nv) x grid mesh, for each t in times.
 
     f(t) = f* o l_t, where the label l_t(x, v) = (X(T) - T V(T), V(T)) is the
     horizon state of the characteristic through (x, v) at t, carried with
@@ -257,8 +312,20 @@ def transported_datum(
     so the composed slices move the weighted field by at most about
     tolerance; with the default 0 no slice is composed.  The first slice, a
     slice after a later one, and every refused slice are transported to the
-    horizon on their own (characteristics.transport_to_horizon), which ends
-    the chain; composed is False for them.
+    horizon (characteristics.transport_to_horizon), which ends the chain.
+
+    A slice at a time node of the history is expected to be refused when the
+    tolerance is not positive, so that no slice can compose, or when
+    expect_alone (one flag per time, or None) marks it.  A refused slice that
+    was expected is transported to the horizon with the next expected slices
+    of the walk, as many as fit in SHARED_POINTS phase points (so only meshes
+    of at most SHARED_POINTS / 2 points, one block each, are grouped), on the
+    step lattice of the earliest of them, and the labels of the others are
+    held until the walk reaches them.  The admission test of every slice is
+    unchanged: a held slice that composes after all is composed, and its held
+    labels are discarded.  A member of a group has the labels of its own
+    transport to round-off, the earliest one bit for bit.  how is the
+    slice's SliceTransport.
 
     Only the _transported_velocities rows go through the characteristics.
     For a reflection-symmetric datum those are the rows v >= 0 of the mirror
@@ -278,6 +345,8 @@ def transported_datum(
     nx = x.size
     step = history.dt / SUBSTEPS
     T = history.horizon
+    quiet = history.quiet_time()
+    times = np.asarray(times, dtype=float)
     f = np.empty((v.size, nx))
     moving = _transported_velocities(datum, v)
     half = v.size - moving.size
@@ -288,9 +357,23 @@ def transported_datum(
     interpolation = _interpolation_ratios(history)
     field_max = np.max(np.abs(history.E), axis=1)
     modes = np.arange(nx // 2 + 1)
+    mesh = moving.size * nx
+    # The slices expected to be refused.  Only time nodes, which lie on the
+    # step lattice of any earlier node, may share one.
+    node = np.searchsorted(history.times, times).clip(max=history.times.size - 1)
+    expected = history.times[node] == times
+    if tolerance > 0.0:
+        expected &= expect_alone if expect_alone is not None else False
+    members = max(1, SHARED_POINTS // mesh)
+    held = {}  # walk index -> (labels, their field samples) of a slice transported ahead
+
+    def samples(t_from, t_to):
+        """Field samples of the mesh carried from t_from to t_to: three per point and step before the quiet time."""
+        return 3 * mesh * nystrom_steps(max(min(quiet, t_to) - t_from, 0.0), step)
+
     later = None
     chain = 0.0
-    for t in map(float, times):
+    for k, t in enumerate(map(float, times)):
         composed = False
         if later is not None and t < later:
             i = max(int(np.searchsorted(history.times, t, side="right")) - 1, 0)
@@ -301,6 +384,17 @@ def transported_datum(
             )
             composed = chain + error < tolerance * math.exp(-datum.klass.a * t)
         chain = chain + error if composed else 0.0
+        labels, ahead = held.pop(k, (None, 0))
+        if composed:
+            how = SliceTransport(True, False, labels is not None, ahead + samples(t, later))
+        elif labels is not None:
+            how = SliceTransport(False, True, False, ahead)
+        else:
+            group = [k]
+            if expected[k]:
+                group += list(np.flatnonzero(expected[k + 1 :])[: members - 1] + k + 1)
+            group.sort(key=times.__getitem__)  # ascending start times
+            how = SliceTransport(False, len(group) > 1, False, samples(t, T))
         for rows in blocks:
             X0, V0 = np.tile(x, moving[rows].size), np.repeat(moving[rows], nx)
             if composed:
@@ -309,9 +403,18 @@ def transported_datum(
                 shifted = np.fft.irfft(np.fft.rfft(D[:, rows]) * phase, n=nx)
                 LX = X - later * V + shifted[0].ravel()
                 V = V + shifted[1].ravel()
+            elif labels is not None:
+                LX, V = labels  # a grouped mesh is one block
             else:
-                X, V = transport_to_horizon(history, t, X0, V0, step)
-                LX = X - T * V
+                shape = (len(group), X0.size)
+                LX, V = transport_to_horizon(
+                    history, times[group], np.broadcast_to(X0, shape), np.broadcast_to(V0, shape), step
+                )
+                LX -= T * V
+                for m, j in enumerate(group):
+                    if j != k:
+                        held[j] = (LX[m], V[m]), samples(times[j], T)
+                LX, V = LX[group.index(k)], V[group.index(k)]
             g[rows] = eval_f_star(datum, LX, V).reshape(-1, nx)
             D[0, rows] = (LX - (X0 - t * V0)).reshape(-1, nx)
             D[1, rows] = (V - V0).reshape(-1, nx)
@@ -319,7 +422,7 @@ def transported_datum(
             # mirror is in range, so "clip" reads what "raise" would, without its buffered copy.
             np.take(f[:half:-1], mirror, axis=1, out=f[:half], mode="clip")
         later = t
-        yield composed, f
+        yield how, f
 
 
 def _transported_slices(history: FieldHistory) -> int:
@@ -360,7 +463,12 @@ def _free_streaming_rows(
 
 
 def push_density(
-    datum: AsymptoticDatum, history: FieldHistory, vmax: float, nv: int, tolerance: float = 0.0
+    datum: AsymptoticDatum,
+    history: FieldHistory,
+    vmax: float,
+    nv: int,
+    tolerance: float = 0.0,
+    expect_alone=None,
 ) -> DensityHistory:
     """Density of the transported datum on every (time, space) node.
 
@@ -378,39 +486,34 @@ def push_density(
     so that the weighted field moves by at most about tolerance; the others
     are transported to the quiet time on their own (transported_datum has
     the composition and its admission test).  With the default tolerance 0
-    every slice is transported on its own.  Which slices were composed is
-    recorded in the result's composed.  For a reflection-symmetric datum
-    transported_datum transports only the rows v >= 0 of a slice.
+    every slice is transported on its own.  The slices expected to be
+    transported on their own, every slice with no tolerance and otherwise
+    those of expect_alone (one flag per history slice; run_iteration passes
+    the previous push's alone), are carried several at a time on one Nystrom
+    lattice; that changes which slices compose by nothing, and their density
+    by round-off.  The result records which slices were composed and which
+    transported to the quiet time, which of those shared a lattice, which
+    composed slices had been transported ahead, and the push's field
+    samples.  For a reflection-symmetric datum transported_datum transports
+    only the rows v >= 0 of a slice.
     """
     v, w = velocity_grid(vmax, nv)
     times = history.times
     n = _transported_slices(history)
     rho = np.empty((times.size, history.grid.nx))
-    composed = np.zeros(times.size, dtype=bool)
-    slices = transported_datum(datum, history, times[:n][::-1], vmax, nv, tolerance)
-    for i, (from_next, f) in zip(range(n - 1, -1, -1), slices):
-        composed[i] = from_next
+    composed, shared, discarded = np.zeros((3, times.size), dtype=bool)
+    expected = None if expect_alone is None else np.asarray(expect_alone, dtype=bool)[:n][::-1]
+    slices = transported_datum(datum, history, times[:n][::-1], vmax, nv, tolerance, expected)
+    sampled = 0
+    for i, (how, f) in zip(range(n - 1, -1, -1), slices):
+        composed[i], shared[i], discarded[i] = how.composed, how.shared, how.discarded
+        sampled += how.sampled
         rho[i] = w @ f
     rho[n:] = _free_streaming_rows(datum, times[n:], history.grid.nodes, v, w)
     np.maximum(rho, 0.0, out=rho)  # clip negative round-off from quadrature
     mass = rho.mean(axis=1)
-    return DensityHistory(times=times, rho=rho, mass=mass, composed=composed)
-
-
-def _sampled_points(history: FieldHistory, composed: np.ndarray, mesh: int) -> int:
-    """Field samples taken by push_density's transport, mesh points per slice.
-
-    A slice before the quiet time takes the Nystrom steps to the next slice if
-    it was composed, to the quiet time otherwise.
-    """
-    times = history.times
-    tq = history.quiet_time()
-    step = history.dt / SUBSTEPS
-    n = _transported_slices(history)
-    steps = sum(
-        nystrom_steps((times[i + 1] if composed[i] else tq) - times[i], step) for i in range(n)
-    )
-    return 3 * steps * mesh
+    alone = (np.arange(times.size) < n) & ~composed
+    return DensityHistory(times, rho, mass, composed, alone, shared, discarded, sampled)
 
 
 def field_update(density: DensityHistory, grid: SpatialGrid) -> FieldHistory:
@@ -496,9 +599,12 @@ def run_iteration(
     the weighted field by at most about FORCING delta_{n-1}, far below what
     the sweep itself changes until the last sweeps, and the convergence test
     compares the actual iterates, so a converged run stays within
-    O(fixed_point_tol) of the strict fixed point.  Every field update
-    solves all slices, as one stack (field_update), so a slice whose density
-    repeats the previous sweep's costs only its share of that one solve.
+    O(fixed_point_tol) of the strict fixed point.  Each push after the first
+    is told which slices the previous push transported to the quiet time
+    (DensityHistory.alone) and steps those it refuses again together on one
+    lattice.  Every field update solves all slices, as one stack
+    (field_update), so a slice whose density repeats the previous sweep's
+    costs only its share of that one solve.
     What each sweep did and cost, Newton steps and residuals included, is
     recorded in result.sweeps.
     """
@@ -531,8 +637,9 @@ def run_iteration(
     tol = None
     for n in range(1, settings.max_iterations + 1):
         tolerance = FORCING * result.deltas[-1] if result.deltas else 0.0
+        alone = density.alone if density is not None else None
         start = time.perf_counter()
-        density = push_density(datum, history, vmax, settings.nv, tolerance)
+        density = push_density(datum, history, vmax, settings.nv, tolerance, alone)
         pushed = time.perf_counter()
         new_history = field_update(density, grid)
         updated = time.perf_counter()
@@ -545,8 +652,10 @@ def run_iteration(
                 reused=times.size - transported,
                 composed=int(density.composed.sum()),
                 tolerance=tolerance,
+                shared=int(density.shared.sum()),
+                discarded=int(density.discarded.sum()),
                 mesh_points=mesh,
-                sampled_points=_sampled_points(history, density.composed, mesh),
+                sampled_points=density.sampled_points,
                 newton_steps=int(newton.steps.sum()),
                 newton_residual=float(newton.residual.max()),
                 newton_at_floor=int(newton.at_floor.sum()),

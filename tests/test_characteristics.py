@@ -13,6 +13,7 @@ from vpme_scatter.characteristics import (
     _cubic_coefficients,
     _eval_cubic,
     _nystrom_span,
+    transport_to,
     transport_to_horizon,
 )
 from vpme_scatter.errors import IntegrationError, OutOfRangeError, ParameterError
@@ -349,6 +350,56 @@ class TestTransportMaps:
     def test_phase_coordinates_reduce_mod_one(self):
         assert PhaseLabel(x=1.25, v=0.0).x == pytest.approx(0.25)
         assert PhasePoint(t=0.0, x=-0.25, v=0.0).x == pytest.approx(0.75)
+
+
+class TestSharedLattice:
+    """transport_to_horizon of several start times on the lattice of the earliest."""
+
+    @staticmethod
+    def _quieting():
+        # The field falls eight decades below its peak inside the span.
+        hist = _cosine_history(nt=40, rate=12.0)
+        assert hist.t0 < hist.quiet_time() < hist.horizon
+        return hist
+
+    STATE = (np.array([0.1, 0.45, 0.8, -1.3]), np.array([0.7, -0.4, 1.3, 2.0]))
+
+    @pytest.mark.parametrize("node", [0, 17, 31, 40])  # before the quiet time, at it, at the horizon
+    def test_one_member_group_is_the_single_transport(self, node):
+        hist = self._quieting()
+        t, step = float(hist.times[node]), hist.dt / 4
+        X, V = self.STATE
+        want = transport_to(hist, t, hist.horizon, X, V, step)
+        for got in (
+            transport_to_horizon(hist, t, X, V, step),
+            [a[0] for a in transport_to_horizon(hist, np.array([t]), X[None], V[None], step)],
+        ):
+            assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+    def test_members_past_the_quiet_time_fly_free_and_the_earliest_keeps_its_bits(self):
+        hist = self._quieting()
+        nodes = [3, 9, 31, 40]
+        assert hist.quiet_time() == hist.times[31]
+        starts, step = hist.times[nodes], hist.dt / 4
+        X, V = self.STATE
+        XT, VT = transport_to_horizon(hist, starts, np.tile(X, (4, 1)), np.tile(V, (4, 1)), step)
+        for m, t in enumerate(starts):
+            X1, V1 = transport_to_horizon(hist, float(t), X, V, step)
+            if m == 1:  # joins the lattice of t_3 at t_9: its own labels to round-off
+                assert np.max(np.abs(XT[m] - X1)) <= 1e-14 and np.max(np.abs(VT[m] - V1)) <= 1e-15
+            else:
+                assert _same_bits(XT[m], X1) and _same_bits(VT[m], V1)
+
+    def test_starts_ascend_on_the_lattice_with_one_state_row_each(self):
+        hist = self._quieting()
+        step = hist.dt / 4
+        X = np.zeros((2, 3))
+        with pytest.raises(ParameterError, match="ascending"):
+            transport_to_horizon(hist, hist.times[[5, 2]], X, X, step)
+        with pytest.raises(ParameterError, match="ascending"):
+            transport_to_horizon(hist, hist.times[[2, 5, 7]], X, X, step)
+        with pytest.raises(ParameterError, match="off the step lattice"):
+            transport_to_horizon(hist, np.array([hist.times[2], hist.times[5] + step / 2]), X, X, step)
 
 
 @given(

@@ -258,6 +258,7 @@ class TestRunCommand:
                 f"  sweep {n}: quiet time {s['quiet_time']!r},"
                 f" slices transported {s['transported']}, reused {s['reused']},"
                 f" composed {s['composed']} within tolerance {s['tolerance']!r},"
+                f" shared {s['shared']}, discarded {s['discarded']},"
                 f" mesh points {s['mesh_points']},"
                 f" sampled points {s['sampled_points']},"
                 f" Newton steps {s['newton_steps']} (worst residual {s['newton_residual']!r},"

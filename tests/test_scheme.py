@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from vpme_scatter.asymptotic import (
     datum_mass,
+    default_vmax,
     eval_f_star,
     fourier_f_star,
     make_gaussian_cosine_datum,
     make_tabulated_datum,
 )
-from vpme_scatter.characteristics import SUBSTEPS, FieldHistory, transport_to_horizon
+from vpme_scatter.characteristics import SUBSTEPS, FieldHistory, nystrom_steps, transport_to_horizon
 from vpme_scatter import diagnostics, scheme
 from vpme_scatter.errors import DomainError, ParameterError, SolverDivergenceError
 from vpme_scatter.poisson import (
@@ -268,10 +269,12 @@ class TestTransportedDatum:
         mirror = -np.arange(grid.nx) % grid.nx
         X0, V0 = (a.ravel() for a in np.meshgrid(grid.nodes, v))
         T = hist.horizon
-        for t, (composed, f) in zip(times, scheme.transported_datum(datum, hist, times, 6.0, 512)):
+        for t, (how, f) in zip(times, scheme.transported_datum(datum, hist, times, 6.0, 512)):
             XT, VT = transport_to_horizon(hist, float(t), X0, V0, hist.dt / SUBSTEPS)
             whole = eval_f_star(datum, XT - T * VT, VT).reshape(v.size, grid.nx)
-            assert not composed and np.array_equal(f[half:], whole[half:])
+            # A mesh of more than SHARED_POINTS / 2 points is transported one slice at a time.
+            assert not how.composed and not how.shared
+            assert np.array_equal(f[half:], whole[half:])
             if half:
                 # Rows v < 0 are the x-mirror of rows v > 0, and the odd field
                 # makes them the whole-mesh transport to round-off.
@@ -287,7 +290,7 @@ def _exact_labels(history, t: float, v):
 
 
 def _exact_slices(datum, history, times, vmax, nv):
-    """transported_datum's (composed, f) with f* read at _exact_labels on every row of the mesh."""
+    """transported_datum's (how, f), how unused, with f* read at _exact_labels on every row of the mesh."""
     v, _ = velocity_grid(vmax, nv)
     for t in times:
         yield False, eval_f_star(datum, *_exact_labels(history, float(t), v)).reshape(v.size, -1)
@@ -321,10 +324,17 @@ def _full_mesh_rows(datum, history, vmax, nv) -> np.ndarray:
     return np.array([w @ f for _, f in _exact_slices(datum, history, history.times, vmax, nv)])
 
 
-def _assert_rows_match(pushed, composed, exact):
-    """Composed rows within 1e-13 of the exact rows (relative to them), every other row bit-identical."""
+def _assert_rows_match(pushed, density, exact):
+    """Rows within 1e-13 of the exact rows (relative to them), bit-identical where not composed or shared."""
     assert _relative_error(pushed, exact) <= 1e-13
-    assert np.array_equal(pushed[~composed], exact[~composed])
+    own = ~(density.composed | density.shared)[: len(pushed)]
+    assert np.array_equal(pushed[own], exact[own])
+
+
+def _assert_meshes(sizes, mesh):
+    """Field samples of whole meshes: one mesh, or several stepped on one lattice within SHARED_POINTS."""
+    assert mesh in sizes
+    assert all(size % mesh == 0 and size <= max(mesh, scheme.SHARED_POINTS) for size in sizes)
 
 
 def _run_without_reuse(datum, settings: RunSettings):
@@ -423,17 +433,20 @@ class TestComposition:
                     assert np.max(np.abs(np.concatenate(part) - exact)) <= 16.0 * floor
         # Composed rows within 1e-13 of a full transport; every other row is bit-identical.
         exact = np.maximum(_transported_rows(datum, hist, vmax, nv)[:n], 0.0)
-        _assert_rows_match(density.rho[:n], composed, exact)
+        _assert_rows_match(density.rho[:n], density, exact)
 
     @pytest.mark.parametrize("case", sorted(_COMPOSITION_CASES))
     def test_no_tolerance_composes_nothing(self, case):
-        # A push given no tolerance transports every slice to the quiet time on its own.
+        # A push given no tolerance transports every slice to the quiet time,
+        # several on one lattice where a mesh has at most SHARED_POINTS / 2 points.
         datum, hist, vmax, nv = _COMPOSITION_CASES[case]()
         n = scheme._transported_slices(hist)
         density = push_density(datum, hist, vmax, nv)
-        assert not density.composed.any()
+        assert not density.composed.any() and density.alone[:n].all()
+        mesh = len(scheme._transported_velocities(datum, velocity_grid(vmax, nv)[0])) * hist.grid.nx
+        assert density.shared.any() == (2 * mesh <= scheme.SHARED_POINTS)
         exact = np.maximum(_transported_rows(datum, hist, vmax, nv)[:n], 0.0)
-        assert np.array_equal(density.rho[:n], exact)
+        _assert_rows_match(density.rho[:n], density, exact)
 
 
 class TestInexactSweeps:
@@ -455,8 +468,12 @@ class TestInexactSweeps:
             density = push_density(datum, hist, vmax, nv, tolerance)
             moved = field_update(density, hist.grid).E - E
             assert weighted_norm_array(hist.times, moved, klass.a, klass.t0) <= tolerance
+            # The rows not composed are the strict push's, bit-identical where it shared no lattice.
+            assert not density.shared.any()  # nothing expected to be refused
             kept = ~density.composed
-            assert np.array_equal(density.rho[kept], strict.rho[kept])
+            assert _relative_error(density.rho[kept], strict.rho[kept]) <= 1e-13
+            own = kept & ~strict.shared
+            assert np.array_equal(density.rho[own], strict.rho[own])
             counts.append(int(density.composed.sum()))
         assert counts == sorted(counts) and counts[-1] > 0
 
@@ -503,6 +520,81 @@ class TestInexactSweeps:
         moved = inexact.field_history.E - strict.field_history.E
         a, t0 = datum.klass.a, datum.klass.t0
         assert weighted_norm_array(strict.field_history.times, moved, a, t0) <= strict.tolerance
+
+
+def _next_push(datum, settings: RunSettings, sweeps: int):
+    """(history, previous push's alone, tolerance) of sweep sweeps + 1 of run_iteration."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        result = run_iteration(datum, replace(settings, max_iterations=sweeps, fixed_point_tol=0.0))
+    return result.field_history, result.density_history.alone, scheme.FORCING * result.deltas[-1]
+
+
+_LINGERING = RunSettings(nx=64, nv=64, nt=30, horizon=3.0, exploratory=True)
+
+
+class TestSharedLattice:
+    """Refused slices stepped together on one Nystrom lattice: the same decisions, labels to round-off."""
+
+    @pytest.mark.parametrize("case", ["lingering", "theorem-certify", "table"])
+    def test_members_match_their_own_transport(self, case):
+        datum, hist, vmax, nv = _COMPOSITION_CASES[case]()
+        n = scheme._transported_slices(hist)
+        v, _ = velocity_grid(vmax, nv)
+        X0, V0 = (a.ravel() for a in np.meshgrid(hist.grid.nodes, v[:: nv // 16]))
+        nodes = [0, n // 3, n // 2, n - 1, n]  # the last one at the quiet time flies free
+        step = hist.dt / SUBSTEPS
+        XT, VT = transport_to_horizon(
+            hist, hist.times[nodes], np.tile(X0, (5, 1)), np.tile(V0, (5, 1)), step
+        )
+        floor = np.finfo(float).eps * (1.0 + vmax * hist.horizon)
+        for m, i in enumerate(nodes):
+            X, V = transport_to_horizon(hist, float(hist.times[i]), X0, V0, step)
+            if m in (0, 4):
+                assert np.array_equal(XT[m], X) and np.array_equal(VT[m], V)
+            else:
+                assert np.max(np.abs(XT[m] - X)) <= 8.0 * floor
+                assert np.max(np.abs(VT[m] - V)) <= 8.0 * floor
+
+    @pytest.mark.parametrize("sweeps", [1, 4])
+    def test_expectations_change_only_the_cost(self, sweeps, monkeypatch):
+        # Sweep 2 composes nearly every slice, sweep 5 few: whichever slices
+        # are expected to be refused, the same slices compose and the density
+        # moves by round-off; a slice transported ahead that composes is
+        # counted in discarded and its samples in sampled_points.
+        datum = make_gaussian_cosine_datum(1.0, 0.3, EXPLORATORY_KLASS)
+        hist, previous, tolerance = _next_push(datum, _LINGERING, sweeps)
+        n = scheme._transported_slices(hist)
+        vmax = default_vmax(datum)
+        mesh = (_LINGERING.nv // 2 + 1) * _LINGERING.nx
+        sampled = []
+        sample = FieldHistory.sample
+
+        def counting(self, t, x):
+            sampled.append(np.size(x))
+            return sample(self, t, x)
+
+        monkeypatch.setattr(FieldHistory, "sample", counting)
+        pushes = {}
+        for name, expected in (("none", None), ("previous", previous), ("every", np.ones(n, dtype=bool))):
+            sampled.clear()
+            pushes[name] = push_density(datum, hist, vmax, _LINGERING.nv, tolerance, expected)
+            assert pushes[name].sampled_points == sum(sampled)
+        none, every = pushes["none"], pushes["every"]
+        assert 0 < none.composed.sum() < n - 1
+        assert not none.shared.any() and not none.discarded.any()
+        assert pushes["previous"].shared.any() == (sweeps > 1)
+        assert not pushes["previous"].discarded.any()
+        assert every.shared.any() and every.discarded.any()
+        for density in pushes.values():
+            assert np.array_equal(density.composed, none.composed)
+            assert np.array_equal(density.alone, none.alone)
+            assert not (density.shared & ~density.alone).any()
+            assert not (density.discarded & ~density.composed).any()
+            assert _relative_error(density.rho, none.rho) <= 1e-13
+        quiet, step = hist.quiet_time(), hist.dt / SUBSTEPS
+        ahead = sum(nystrom_steps(quiet - t, step) for t in hist.times[:n][every.discarded[:n]])
+        assert every.sampled_points == none.sampled_points + 3 * mesh * ahead
 
 
 class TestFreeStreamingRows:
@@ -567,11 +659,11 @@ class TestReflection:
         density = push_density(datum, hist, vmax, nv)
         pushed = density.rho[:n]
         if datum.reflection_symmetric:
-            assert sizes == {(nv // 2 + 1) * hist.grid.nx}
+            _assert_meshes(sizes, (nv // 2 + 1) * hist.grid.nx)
             assert _relative_error(pushed, full) <= 1e-13
         else:
-            assert sizes == {(nv + 1) * hist.grid.nx}
-            _assert_rows_match(pushed, density.composed[:n], full)
+            _assert_meshes(sizes, (nv + 1) * hist.grid.nx)
+            _assert_rows_match(pushed, density, full)
 
 
 class TestWeakGapsHalfMesh:
@@ -598,7 +690,7 @@ class TestWeakGapsHalfMesh:
         datum = _datum("gaussian-cosine")
         hist = TestReflection._converged_history()
         weak, l2, sizes = self._gaps(datum, hist, monkeypatch)
-        assert sizes == {(32 // 2 + 1) * hist.grid.nx}
+        _assert_meshes(sizes, (32 // 2 + 1) * hist.grid.nx)
         full_weak, full_l2, full_sizes = self._gaps(datum, hist, monkeypatch, reference=True)
         assert full_sizes == {(32 + 1) * hist.grid.nx}
         assert np.max(np.abs(weak - full_weak)) <= 1e-13 * datum_mass(datum)
@@ -608,9 +700,11 @@ class TestWeakGapsHalfMesh:
         datum = _datum("tabulated")
         hist = TestReflection._converged_history()
         weak, l2, sizes = self._gaps(datum, hist, monkeypatch)
-        assert sizes == {(32 + 1) * hist.grid.nx}
+        _assert_meshes(sizes, (32 + 1) * hist.grid.nx)
         full_weak, full_l2, _ = self._gaps(datum, hist, monkeypatch, reference=True)
-        assert np.array_equal(weak, full_weak) and np.array_equal(l2, full_l2)
+        # The slices share lattices, so their labels are their own transport's to round-off.
+        assert np.max(np.abs(weak - full_weak)) <= 1e-13 * datum_mass(datum)
+        assert np.max(np.abs(l2 - full_l2)) <= 1e-13 * datum_mass(datum)
 
 
 class TestSweepCounters:
@@ -660,7 +754,7 @@ class TestFreeStreamingReuse:
         monkeypatch.setattr(scheme, "transported_datum", recording)
         density = push_density(datum, hist, 6.0, 64)
         rho = density.rho
-        _assert_rows_match(rho[:n], density.composed[:n], np.maximum(transported[:n], 0.0))
+        _assert_rows_match(rho[:n], density, np.maximum(transported[:n], 0.0))
         assert np.array_equal(rho[n:], np.maximum(closed[n:], 0.0))
         assert not density.composed[n:].any()
         assert pushed == list(hist.times[:n][::-1])  # walked backward from the quiet time
