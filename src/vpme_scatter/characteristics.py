@@ -27,14 +27,14 @@ blocking does not change a bit of the result.  Past the history's quiet time
 (where the stored field drops below a negligible impulse threshold) the flow
 is advanced in closed form as free transport.
 
-transport_to_horizon carries a phase state to the horizon, which is what
-defines its label; it also carries a group of states with ascending start
-times on one lattice of steps, that of the earliest start, each member
-joining at its own start, so that a few small meshes are stepped as one
-array.  One start is the one-member group.  transport_to carries a state to
-any later time; the mesh transport of scheme.transported_datum takes it
-across one time slice wherever it composes a slice's labels from those of the
-next slice.
+transport_to carries a phase state to any later time, and
+transport_to_horizon to the horizon, which is what defines its label.  Both
+also carry a group of states with ascending start times on one lattice of
+steps, that of the earliest start, each member joining at its own start, so
+that a few small meshes are stepped as one array; one start is the one-member
+group.  The mesh transport of scheme.transported_datum takes a state across
+one time slice wherever it composes a slice's labels from those of the next
+slice, and a group of refused slices to the horizon.
 """
 
 from __future__ import annotations
@@ -247,31 +247,22 @@ def _nystrom_steps(field, t_from: float, t_to: float, nsteps: int, X, V, joins):
     return X, V
 
 
-def transport_to(field, t: float, t_to: float, X, V, step: float):
-    """Forward map from phase state (X, V) at time t to the later time t_to.
-
-    Nystrom steps up to the quiet time, closed-form free flight beyond it.  X
-    may be unreduced; it stays unreduced.  A t_to one time slice after t is
-    one slice of scheme.transported_datum's label composition.
-    """
-    tq = min(max(field.quiet_time(), t), t_to)
-    X, V = _nystrom_span(field, t, tq, X, V, step)
-    return X + V * (t_to - tq), V
-
-
-def transport_to_horizon(field, t, X, V, step: float):
-    """Forward map from phase states at their start times to the horizon.
+def transport_to(field, t, t_to: float, X, V, step: float):
+    """Forward map from phase states at their start times to the later time t_to.
 
     t is one start time, with states X, V of any shape, or an ascending array
-    of k start times with states of shape (k, ...), one row per member.  The
-    members share one lattice of Nystrom steps, that of transport_to from the
-    earliest start to the quiet time: each joins at the lattice point of its
-    own start and is carried from there with the others.  A start must lie on
-    that lattice to within 1e-9 of a step (the time nodes of a history do, for
-    a step of history.dt / SUBSTEPS); a member then takes the steps of its own
+    of k start times with states of shape (k, ...), one row per member.
+    Nystrom steps carry the states up to the quiet time, closed-form free
+    flight beyond it.  The members share one lattice of steps, that from the
+    earliest start: each joins at the lattice point of its own start and is
+    carried from there with the others.  A start must lie on that lattice to
+    within 1e-9 of a step (the time nodes of a history do, for a step of
+    history.dt / SUBSTEPS); a member then takes the steps of its own
     transport, at times equal to round-off, and the earliest member, so a
-    single start, gets transport_to's bits.  A member starting at or past the
-    quiet time flies free from its start.
+    single start, takes exactly its own.  A member starting at or past the
+    quiet time flies free from its start.  X may be unreduced; it stays
+    unreduced.  A t_to one time slice after t is one slice of
+    scheme.transported_datum's label composition.
     """
     starts = np.asarray(t, dtype=float)
     single = starts.ndim == 0
@@ -281,11 +272,12 @@ def transport_to_horizon(field, t, X, V, step: float):
         X, V = X[None], V[None]
     if X.shape != V.shape or X.shape[:1] != starts.shape or np.any(np.diff(starts) < 0.0):
         raise ParameterError("transport needs ascending start times with one state row each")
+    if starts[-1] > t_to:
+        raise ParameterError(f"transport runs forward: start t={starts[-1]:g} is past t={t_to:g}")
     t0 = float(starts[0])
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
         raise IntegrationError(f"non-finite phase state at t={t0:g}")
-    T = field.horizon
-    tq = min(max(field.quiet_time(), t0), T)
+    tq = min(max(field.quiet_time(), t0), t_to)
     nsteps = nystrom_steps(tq - t0, step)
     k = int(np.count_nonzero(starts < tq))  # the members that step: a leading run
     joins = [nsteps - nystrom_steps(tq - s, step) for s in starts[:k]]
@@ -297,5 +289,10 @@ def transport_to_horizon(field, t, X, V, step: float):
         raise IntegrationError(f"non-finite state integrating from t={t0:g} to t={tq:g}")
     if k < starts.size:
         Xs, Vs = np.concatenate((Xs, X[k:])), np.concatenate((Vs, V[k:]))
-    Xs = Xs + Vs * (T - np.maximum(starts, tq)).reshape((-1,) + (1,) * (X.ndim - 1))
+    Xs = Xs + Vs * (t_to - np.maximum(starts, tq)).reshape((-1,) + (1,) * (X.ndim - 1))
     return (Xs[0], Vs[0]) if single else (Xs, Vs)
+
+
+def transport_to_horizon(field, t, X, V, step: float):
+    """Forward map from phase states at their start times (one, or an ascending array) to the horizon."""
+    return transport_to(field, t, field.horizon, X, V, step)

@@ -53,8 +53,11 @@ slices of the walk on one lattice, up to SHARED_POINTS phase points, and
 their labels are held until the walk reaches them: a mesh of a few thousand
 points costs a field sample little more per point than one of many
 thousands, and the late sweeps of a field loud to the horizon refuse nearly
-every slice.  Every admission decision is the same as without the grouping;
-a held slice that composes after all is discarded, and counted.
+every slice.  The admission test is the same as without the grouping, but a
+held slice's labels are its own transport's only to round-off, and its label
+deviation feeds the next slice's test, so a decision at the edge of its bound
+could flip (none did on any benchmark catalog entry); a held slice that
+composes after all is discarded, and counted.
 """
 
 from __future__ import annotations
@@ -318,14 +321,16 @@ def transported_datum(
     tolerance is not positive, so that no slice can compose, or when
     expect_alone (one flag per time, or None) marks it.  A refused slice that
     was expected is transported to the horizon with the next expected slices
-    of the walk, as many as fit in SHARED_POINTS phase points (so only meshes
-    of at most SHARED_POINTS / 2 points, one block each, are grouped), on the
+    of the walk, as many as fit in SHARED_POINTS phase points (so only a mesh
+    of at most SHARED_POINTS / 2 points that is one block is grouped), on the
     step lattice of the earliest of them, and the labels of the others are
     held until the walk reaches them.  The admission test of every slice is
     unchanged: a held slice that composes after all is composed, and its held
     labels are discarded.  A member of a group has the labels of its own
-    transport to round-off, the earliest one bit for bit.  how is the
-    slice's SliceTransport.
+    transport to round-off, the earliest one bit for bit; the D a held slice
+    leaves for the next test differs by that round-off, so a decision at the
+    edge of its bound could differ from that of a transport alone.  how is
+    the slice's SliceTransport.
 
     Only the _transported_velocities rows go through the characteristics.
     For a reflection-symmetric datum those are the rows v >= 0 of the mirror
@@ -364,7 +369,7 @@ def transported_datum(
     expected = history.times[node] == times
     if tolerance > 0.0:
         expected &= expect_alone if expect_alone is not None else False
-    members = max(1, SHARED_POINTS // mesh)
+    members = max(1, SHARED_POINTS // mesh) if len(blocks) == 1 else 1  # held labels are one block
     held = {}  # walk index -> (labels, their field samples) of a slice transported ahead
 
     def samples(t_from, t_to):
@@ -490,8 +495,9 @@ def push_density(
     transported on their own, every slice with no tolerance and otherwise
     those of expect_alone (one flag per history slice; run_iteration passes
     the previous push's alone), are carried several at a time on one Nystrom
-    lattice; that changes which slices compose by nothing, and their density
-    by round-off.  The result records which slices were composed and which
+    lattice; that changes their density by round-off, and which slices
+    compose only where a test sits at the edge of its bound (never on the
+    benchmark's catalogs).  The result records which slices were composed and which
     transported to the quiet time, which of those shared a lattice, which
     composed slices had been transported ahead, and the push's field
     samples.  For a reflection-symmetric datum transported_datum transports

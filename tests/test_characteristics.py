@@ -366,10 +366,14 @@ class TestSharedLattice:
 
     @pytest.mark.parametrize("node", [0, 17, 31, 40])  # before the quiet time, at it, at the horizon
     def test_one_member_group_is_the_single_transport(self, node):
+        # One start takes the Nystrom steps of its own span to the quiet
+        # time, then flies free: the same bits as a state array of any shape.
         hist = self._quieting()
         t, step = float(hist.times[node]), hist.dt / 4
         X, V = self.STATE
-        want = transport_to(hist, t, hist.horizon, X, V, step)
+        tq = max(hist.quiet_time(), t)
+        XQ, VQ = _nystrom_span(hist, t, tq, X, V, step)
+        want = (XQ + VQ * (hist.horizon - tq), VQ)
         for got in (
             transport_to_horizon(hist, t, X, V, step),
             [a[0] for a in transport_to_horizon(hist, np.array([t]), X[None], V[None], step)],
@@ -400,6 +404,8 @@ class TestSharedLattice:
             transport_to_horizon(hist, hist.times[[2, 5, 7]], X, X, step)
         with pytest.raises(ParameterError, match="off the step lattice"):
             transport_to_horizon(hist, np.array([hist.times[2], hist.times[5] + step / 2]), X, X, step)
+        with pytest.raises(ParameterError, match="runs forward"):
+            transport_to(hist, hist.times[[2, 5]], hist.times[4], X, X, step)
 
 
 @given(

@@ -324,10 +324,36 @@ def _full_mesh_rows(datum, history, vmax, nv) -> np.ndarray:
     return np.array([w @ f for _, f in _exact_slices(datum, history, history.times, vmax, nv)])
 
 
-def _assert_rows_match(pushed, density, exact):
-    """Rows within 1e-13 of the exact rows (relative to them), bit-identical where not composed or shared."""
+def _leading_starts(monkeypatch) -> list:
+    """The earliest start of every transport_to_horizon call scheme makes from now on, appended as it calls."""
+    starts = []
+    transport = scheme.transport_to_horizon
+
+    def recording(field, t, *rest):
+        starts.append(float(np.min(t)))
+        return transport(field, t, *rest)
+
+    monkeypatch.setattr(scheme, "transport_to_horizon", recording)
+    return starts
+
+
+def _own_rows(density, rows: int, leaders) -> np.ndarray:
+    """The first rows of density whose labels are their own transport's bit for bit.
+
+    Those are the rows neither composed nor shared, and the earliest member of
+    every shared lattice (leaders, from _leading_starts), which takes exactly
+    its own steps; at least one such member is asked for wherever rows shared.
+    """
+    shared = density.shared[:rows]
+    led = np.isin(density.times[:rows], leaders)
+    assert not shared.any() or (shared & led).any()
+    return ~density.composed[:rows] & (~shared | led)
+
+
+def _assert_rows_match(pushed, density, exact, leaders=()):
+    """Rows within 1e-13 of the exact rows (relative to them), bit-identical where _own_rows."""
     assert _relative_error(pushed, exact) <= 1e-13
-    own = ~(density.composed | density.shared)[: len(pushed)]
+    own = _own_rows(density, len(pushed), leaders)
     assert np.array_equal(pushed[own], exact[own])
 
 
@@ -436,27 +462,30 @@ class TestComposition:
         _assert_rows_match(density.rho[:n], density, exact)
 
     @pytest.mark.parametrize("case", sorted(_COMPOSITION_CASES))
-    def test_no_tolerance_composes_nothing(self, case):
+    def test_no_tolerance_composes_nothing(self, case, monkeypatch):
         # A push given no tolerance transports every slice to the quiet time,
         # several on one lattice where a mesh has at most SHARED_POINTS / 2 points.
         datum, hist, vmax, nv = _COMPOSITION_CASES[case]()
         n = scheme._transported_slices(hist)
+        leaders = _leading_starts(monkeypatch)
         density = push_density(datum, hist, vmax, nv)
         assert not density.composed.any() and density.alone[:n].all()
         mesh = len(scheme._transported_velocities(datum, velocity_grid(vmax, nv)[0])) * hist.grid.nx
         assert density.shared.any() == (2 * mesh <= scheme.SHARED_POINTS)
         exact = np.maximum(_transported_rows(datum, hist, vmax, nv)[:n], 0.0)
-        _assert_rows_match(density.rho[:n], density, exact)
+        _assert_rows_match(density.rho[:n], density, exact, leaders)
 
 
 class TestInexactSweeps:
     """Composition within a field tolerance: the weighted field moves by at most that much."""
 
     @pytest.mark.parametrize("case", ["lingering", "table", "quieting", "nx16"])
-    def test_field_moves_within_the_tolerance(self, case):
+    def test_field_moves_within_the_tolerance(self, case, monkeypatch):
         datum, hist, vmax, nv = _COMPOSITION_CASES[case]()
         klass = datum.klass
+        leaders = _leading_starts(monkeypatch)
         strict = push_density(datum, hist, vmax, nv)
+        strict_own = _own_rows(strict, hist.times.size, list(leaders))
         zero = push_density(datum, hist, vmax, nv, 0.0)
         assert not strict.composed.any()  # no tolerance: every slice transported exactly
         assert np.array_equal(zero.rho, strict.rho) and np.array_equal(zero.composed, strict.composed)
@@ -468,11 +497,12 @@ class TestInexactSweeps:
             density = push_density(datum, hist, vmax, nv, tolerance)
             moved = field_update(density, hist.grid).E - E
             assert weighted_norm_array(hist.times, moved, klass.a, klass.t0) <= tolerance
-            # The rows not composed are the strict push's, bit-identical where it shared no lattice.
+            # The rows not composed are the strict push's, bit-identical where
+            # it transported the slice's own steps.
             assert not density.shared.any()  # nothing expected to be refused
             kept = ~density.composed
             assert _relative_error(density.rho[kept], strict.rho[kept]) <= 1e-13
-            own = kept & ~strict.shared
+            own = kept & strict_own
             assert np.array_equal(density.rho[own], strict.rho[own])
             counts.append(int(density.composed.sum()))
         assert counts == sorted(counts) and counts[-1] > 0
@@ -555,6 +585,20 @@ class TestSharedLattice:
             else:
                 assert np.max(np.abs(XT[m] - X)) <= 8.0 * floor
                 assert np.max(np.abs(VT[m] - V)) <= 8.0 * floor
+
+    def test_a_mesh_of_several_blocks_is_not_grouped(self, monkeypatch):
+        # Held labels are one block, so a mesh split into row blocks is
+        # transported one slice at a time, bit for bit, however many fit.
+        datum, hist, vmax, nv = _COMPOSITION_CASES["lingering"]()
+        n = scheme._transported_slices(hist)
+        exact = np.maximum(_transported_rows(datum, hist, vmax, nv)[:n], 0.0)
+        grouped = push_density(datum, hist, vmax, nv)
+        assert grouped.shared[:n].all()
+        monkeypatch.setattr(scheme, "TRANSPORT_BLOCK", 8 * hist.grid.nx)
+        assert len(scheme._row_blocks(nv // 2 + 1, hist.grid.nx)) > 1
+        density = push_density(datum, hist, vmax, nv)
+        assert not density.shared.any()
+        assert np.array_equal(density.rho[:n], exact)
 
     @pytest.mark.parametrize("sweeps", [1, 4])
     def test_expectations_change_only_the_cost(self, sweeps, monkeypatch):
@@ -656,6 +700,7 @@ class TestReflection:
             return sample(self, t, x)
 
         monkeypatch.setattr(FieldHistory, "sample", counting)
+        leaders = _leading_starts(monkeypatch)
         density = push_density(datum, hist, vmax, nv)
         pushed = density.rho[:n]
         if datum.reflection_symmetric:
@@ -663,7 +708,7 @@ class TestReflection:
             assert _relative_error(pushed, full) <= 1e-13
         else:
             _assert_meshes(sizes, (nv + 1) * hist.grid.nx)
-            _assert_rows_match(pushed, density, full)
+            _assert_rows_match(pushed, density, full, leaders)
 
 
 class TestWeakGapsHalfMesh:
@@ -752,9 +797,10 @@ class TestFreeStreamingReuse:
             return transport(datum, history, times, *rest)
 
         monkeypatch.setattr(scheme, "transported_datum", recording)
+        leaders = _leading_starts(monkeypatch)
         density = push_density(datum, hist, 6.0, 64)
         rho = density.rho
-        _assert_rows_match(rho[:n], density, np.maximum(transported[:n], 0.0))
+        _assert_rows_match(rho[:n], density, np.maximum(transported[:n], 0.0), leaders)
         assert np.array_equal(rho[n:], np.maximum(closed[n:], 0.0))
         assert not density.composed[n:].any()
         assert pushed == list(hist.times[:n][::-1])  # walked backward from the quiet time
