@@ -92,7 +92,11 @@ class AsymptoticDatum:
 
     For the gaussian-cosine family amplitude and sigma parametrize the
     velocity Gaussian; its x-factor is fixed (GAUSSIAN_COSINE_MODES).
-    Tabulated data carry their lattice instead.
+    Tabulated data carry their lattice instead, and two read-only fields
+    derived from it on construction, which close the x period with the wrap
+    cell [x_last, x_first + 1): x_wrapped, the x nodes with x_first + 1
+    appended, and table_wrapped, the values with the x_first row appended,
+    flattened row by row (None for the gaussian-cosine family).
     """
 
     family: str
@@ -109,6 +113,14 @@ class AsymptoticDatum:
         for arr in (self.x_nodes, self.v_nodes, self.values):
             if arr is not None:
                 arr.setflags(write=False)
+        x_wrapped = table_wrapped = None
+        if self.values is not None:
+            x_wrapped = np.concatenate([self.x_nodes, [self.x_nodes[0] + 1.0]])
+            table_wrapped = np.vstack([self.values, self.values[:1]]).ravel()
+            x_wrapped.setflags(write=False)
+            table_wrapped.setflags(write=False)
+        object.__setattr__(self, "x_wrapped", x_wrapped)
+        object.__setattr__(self, "table_wrapped", table_wrapped)
 
     @property
     def reflection_symmetric(self) -> bool:
@@ -236,20 +248,24 @@ def eval_f_star(datum: AsymptoticDatum, x, v):
 
 
 def _bilinear(datum: AsymptoticDatum, x, v):
-    xn, vn, tab = datum.x_nodes, datum.v_nodes, datum.values
+    """The table's bilinear interpolant at x in [0, 1] (periodic, through the wrap cell) and v.
+
+    The four corners are gathered from the flat table_wrapped at the index of
+    the lower-left one, row ix and column iv: the same values as 2-D
+    indexing, without its index arithmetic per axis.
+    """
+    xe, vn, flat = datum.x_wrapped, datum.v_nodes, datum.table_wrapped
     if np.any(v < vn[0]) or np.any(v > vn[-1]):
         raise OutOfRangeError("velocity query outside the tabulated grid")
-    # Periodic in x: append the wrap cell [x_last, x_first + 1).
-    xe = np.concatenate([xn, [xn[0] + 1.0]])
-    te = np.vstack([tab, tab[:1]])
     ix = np.clip(np.searchsorted(xe, x, side="right") - 1, 0, xe.size - 2)
     iv = np.clip(np.searchsorted(vn, v, side="right") - 1, 0, vn.size - 2)
     tx = (x - xe[ix]) / (xe[ix + 1] - xe[ix])
     tv = (v - vn[iv]) / (vn[iv + 1] - vn[iv])
-    f00 = te[ix, iv]
-    f10 = te[ix + 1, iv]
-    f01 = te[ix, iv + 1]
-    f11 = te[ix + 1, iv + 1]
+    j = ix * vn.size + iv
+    f00 = flat.take(j)
+    f10 = flat.take(j + vn.size)
+    f01 = flat.take(j + 1)
+    f11 = flat.take(j + (vn.size + 1))
     return (
         f00 * (1 - tx) * (1 - tv)
         + f10 * tx * (1 - tv)
@@ -288,7 +304,7 @@ def tabulated_fourier(datum: AsymptoticDatum, ks, etas) -> np.ndarray:
     Ex(k, x) @ values @ Ev(v, eta) with the weights folded into both factors.
     """
     xn, vn = datum.x_nodes, datum.v_nodes
-    wx = _trapezoid_weights(np.concatenate([xn, [xn[0] + 1.0]]))
+    wx = _trapezoid_weights(datum.x_wrapped)
     wx[0] += wx[-1]
     ex = wx[:-1] * np.exp(-2j * np.pi * np.outer(ks, xn))
     ev = _trapezoid_weights(vn)[:, None] * np.exp(-1j * np.outer(vn, etas))
@@ -302,10 +318,9 @@ def h_limit(datum: AsymptoticDatum, v):
         # The cosine integrates to zero over one period.
         return datum.amplitude * _gaussian(v, datum.sigma)
     xn = datum.x_nodes
-    xe = np.concatenate([xn, [xn[0] + 1.0]])
     vals = eval_f_star(datum, xn[:, None], v[None, :] * np.ones((xn.size, 1)))
     ve = np.vstack([vals, vals[:1]])
-    return np.trapezoid(ve, xe, axis=0)
+    return np.trapezoid(ve, datum.x_wrapped, axis=0)
 
 
 def datum_mass(datum: AsymptoticDatum) -> float:

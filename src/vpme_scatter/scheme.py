@@ -47,17 +47,23 @@ data nearly every slice composes from sweep 2 on, so a sweep costs O(n)
 Nystrom steps in place of O(n^2).
 
 A slice refused by that test is transported to the quiet time.  Where the
-refusal was expected (no tolerance, or the previous sweep transported the
-slice to the quiet time too), the slice is stepped with the next expected
-slices of the walk on one lattice, up to SHARED_POINTS phase points, and
-their labels are held until the walk reaches them: a mesh of a few thousand
-points costs a field sample little more per point than one of many
-thousands, and the late sweeps of a field loud to the horizon refuse nearly
-every slice.  The admission test is the same as without the grouping, but a
-held slice's labels are its own transport's only to round-off, and its label
-deviation feeds the next slice's test, so a decision at the edge of its bound
-could flip (none did on any benchmark catalog entry); a held slice that
-composes after all is discarded, and counted.
+refusal was expected, the slice is stepped with the next expected slices of
+the walk on one lattice, up to SHARED_POINTS phase points, and their labels
+are held until the walk reaches them: a Nystrom step costs a fixed dispatch
+of about 50 us beside its work per point, so meshes of a few thousand points
+pay much of their cost in overhead alone, and the late sweeps of a field
+loud to the horizon refuse nearly every slice.  A push with no tolerance
+expects every refusal.  Otherwise run_iteration foresees them from the
+previous push, which recorded each slice's single-slice composition
+estimate: a slice is expected to be refused where that push transported it
+to the quiet time, or where its estimate there already reaches this push's
+budget tau_n e^{-a t}, since the budget falls faster from sweep to sweep
+than the estimates do.  The admission test is the same as without the
+grouping, but a held slice's labels are its own transport's only to
+round-off, and its label deviation feeds the next slice's test, so a
+decision at the edge of its bound could flip (none did on any benchmark
+catalog entry); a held slice that composes after all is discarded, and
+counted.
 """
 
 from __future__ import annotations
@@ -98,11 +104,14 @@ FORCING = 3e-3
 # 100k points, and blocks of 32,768 already cost more per point than blocks
 # of 16,384), large enough that per-call overhead stays small.
 TRANSPORT_BLOCK = 16384
-# Phase points of the slices stepped together on one Nystrom lattice: three
-# 2,112-point lingering slices.  Groups of up to 16,384 points ran no faster
-# there and raised the benchmark's peak resident memory by 2.1 MB against
-# 0.7 MB, since every temporary of a step grows with the group.
-SHARED_POINTS = 8192
+# Phase points of the slices stepped together on one Nystrom lattice: two
+# 4,160-point table slices, or three 2,112-point lingering slices.  A step
+# costs about 50 us of fixed dispatch beside about 9 ns per point and sample,
+# so a lone table slice paid a third of its cost in overhead.  Table triples
+# (12,480) ran no faster than pairs, and groups of up to 16,384 points ran no
+# faster on lingering and raised the benchmark's peak resident memory by
+# 2.1 MB against 0.7 MB, since every temporary of a step grows with the group.
+SHARED_POINTS = 8320
 
 
 @dataclass(frozen=True)
@@ -113,8 +122,12 @@ class DensityHistory:
     slice's and alone those it transported to the quiet time instead; shared
     marks the slices of alone that were stepped on one Nystrom lattice with
     others, and discarded those of composed that had been transported ahead
-    with others; all four are none when left None.  sampled_points counts the
-    field samples of the push, a discarded transport's included.
+    with others; all four are none when left None.  errors holds each slice's
+    single-slice composition estimate (SliceTransport.error), 0 where the
+    push made none or when left None, and spent the largest share of the
+    composition budget a composed slice's chain reached (SliceTransport.spent).
+    sampled_points counts the field samples of the push, a discarded
+    transport's included.
     """
 
     times: np.ndarray
@@ -124,6 +137,8 @@ class DensityHistory:
     alone: np.ndarray | None = None
     shared: np.ndarray | None = None
     discarded: np.ndarray | None = None
+    errors: np.ndarray | None = None
+    spent: float = 0.0
     sampled_points: int = 0
 
     def __post_init__(self):
@@ -133,7 +148,9 @@ class DensityHistory:
             arr = np.asarray(getattr(self, name), dtype=bool)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        for name in ("times", "rho", "mass"):
+        if self.errors is None:
+            object.__setattr__(self, "errors", np.zeros(np.size(self.times)))
+        for name in ("times", "rho", "mass", "errors"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -148,7 +165,10 @@ class SweepStats:
     free-streaming sum; composed counts the transported slices whose labels
     came from the next slice's (transported one slice only); tolerance is the
     one field tolerance they were composed within (FORCING times the previous
-    sweep's weighted delta; 0, so none, in the first sweep); shared counts
+    sweep's weighted delta; 0, so none, in the first sweep); spent is the
+    largest share of it that the chained error estimates of a composed slice
+    reached, (chain + error) / (tolerance e^{-a t}), below 1 by the admission
+    test and 0 when none composed; shared counts
     the slices transported to the quiet time on one Nystrom lattice with
     other slices, and discarded the slices transported ahead with others that
     composed after all; mesh_points is the number of phase points each
@@ -167,6 +187,7 @@ class SweepStats:
     reused: int
     composed: int
     tolerance: float
+    spent: float
     shared: int
     discarded: int
     mesh_points: int
@@ -277,13 +298,18 @@ class SliceTransport:
     composed: read through the next slice's labels after one slice of steps;
     shared: otherwise carried to the quiet time on one Nystrom lattice with
     other slices; discarded: carried ahead with others, then composed after
-    all; sampled: the field samples taken for this slice, those of a
-    discarded transport included.
+    all; error: the slice's own _composition_error estimate, 0 where the walk
+    made none (the first slice, a slice after a later one); spent: for a
+    composed slice, the share of its budget tolerance e^{-a t} that the
+    chained estimates reached, else 0; sampled: the field samples taken for
+    this slice, those of a discarded transport included.
     """
 
     composed: bool
     shared: bool
     discarded: bool
+    error: float
+    spent: float
     sampled: int
 
 
@@ -319,7 +345,8 @@ def transported_datum(
 
     A slice at a time node of the history is expected to be refused when the
     tolerance is not positive, so that no slice can compose, or when
-    expect_alone (one flag per time, or None) marks it.  A refused slice that
+    expect_alone (one flag per time, or None; run_iteration foresees it from
+    the previous push) marks it.  A refused slice that
     was expected is transported to the horizon with the next expected slices
     of the walk, as many as fit in SHARED_POINTS phase points (so only a mesh
     of at most SHARED_POINTS / 2 points that is one block is grouped), on the
@@ -330,7 +357,8 @@ def transported_datum(
     transport to round-off, the earliest one bit for bit; the D a held slice
     leaves for the next test differs by that round-off, so a decision at the
     edge of its bound could differ from that of a transport alone.  how is
-    the slice's SliceTransport.
+    the slice's SliceTransport, which also records the slice's own
+    composition estimate and, if it composed, the share of its budget spent.
 
     Only the _transported_velocities rows go through the characteristics.
     For a reflection-symmetric datum those are the rows v >= 0 of the mirror
@@ -380,6 +408,7 @@ def transported_datum(
     chain = 0.0
     for k, t in enumerate(map(float, times)):
         composed = False
+        error = 0.0
         if later is not None and t < later:
             i = max(int(np.searchsorted(history.times, t, side="right")) - 1, 0)
             j = min(int(np.searchsorted(history.times, later)), history.times.size - 1)
@@ -387,19 +416,21 @@ def transported_datum(
                 D, moving, later - t, float(field_max[i : j + 1].max()),
                 float(interpolation[min(i, interpolation.size - 1)]),
             )
-            composed = chain + error < tolerance * math.exp(-datum.klass.a * t)
+            budget = tolerance * math.exp(-datum.klass.a * t)
+            composed = chain + error < budget
         chain = chain + error if composed else 0.0
         labels, ahead = held.pop(k, (None, 0))
         if composed:
-            how = SliceTransport(True, False, labels is not None, ahead + samples(t, later))
+            spent = chain / budget
+            how = SliceTransport(True, False, labels is not None, error, spent, ahead + samples(t, later))
         elif labels is not None:
-            how = SliceTransport(False, True, False, ahead)
+            how = SliceTransport(False, True, False, error, 0.0, ahead)
         else:
             group = [k]
             if expected[k]:
                 group += list(np.flatnonzero(expected[k + 1 :])[: members - 1] + k + 1)
             group.sort(key=times.__getitem__)  # ascending start times
-            how = SliceTransport(False, len(group) > 1, False, samples(t, T))
+            how = SliceTransport(False, len(group) > 1, False, error, 0.0, samples(t, T))
         for rows in blocks:
             X0, V0 = np.tile(x, moving[rows].size), np.repeat(moving[rows], nx)
             if composed:
@@ -493,33 +524,37 @@ def push_density(
     the composition and its admission test).  With the default tolerance 0
     every slice is transported on its own.  The slices expected to be
     transported on their own, every slice with no tolerance and otherwise
-    those of expect_alone (one flag per history slice; run_iteration passes
-    the previous push's alone), are carried several at a time on one Nystrom
-    lattice; that changes their density by round-off, and which slices
-    compose only where a test sits at the edge of its bound (never on the
-    benchmark's catalogs).  The result records which slices were composed and which
+    those of expect_alone (one flag per history slice; run_iteration's
+    foresight), are carried several at a time on one Nystrom lattice; that
+    changes their density by round-off, and which slices compose only where
+    a test sits at the edge of its bound (never on the benchmark's
+    catalogs).  The result records which slices were composed and which
     transported to the quiet time, which of those shared a lattice, which
-    composed slices had been transported ahead, and the push's field
-    samples.  For a reflection-symmetric datum transported_datum transports
-    only the rows v >= 0 of a slice.
+    composed slices had been transported ahead, each slice's single-slice
+    composition estimate (errors), the largest share of a budget spent, and
+    the push's field samples.  For a reflection-symmetric datum
+    transported_datum transports only the rows v >= 0 of a slice.
     """
     v, w = velocity_grid(vmax, nv)
     times = history.times
     n = _transported_slices(history)
     rho = np.empty((times.size, history.grid.nx))
     composed, shared, discarded = np.zeros((3, times.size), dtype=bool)
+    errors = np.zeros(times.size)
     expected = None if expect_alone is None else np.asarray(expect_alone, dtype=bool)[:n][::-1]
     slices = transported_datum(datum, history, times[:n][::-1], vmax, nv, tolerance, expected)
-    sampled = 0
+    sampled, spent = 0, 0.0
     for i, (how, f) in zip(range(n - 1, -1, -1), slices):
         composed[i], shared[i], discarded[i] = how.composed, how.shared, how.discarded
+        errors[i] = how.error
         sampled += how.sampled
+        spent = max(spent, how.spent)
         rho[i] = w @ f
     rho[n:] = _free_streaming_rows(datum, times[n:], history.grid.nodes, v, w)
     np.maximum(rho, 0.0, out=rho)  # clip negative round-off from quadrature
     mass = rho.mean(axis=1)
     alone = (np.arange(times.size) < n) & ~composed
-    return DensityHistory(times, rho, mass, composed, alone, shared, discarded, sampled)
+    return DensityHistory(times, rho, mass, composed, alone, shared, discarded, errors, spent, sampled)
 
 
 def field_update(density: DensityHistory, grid: SpatialGrid) -> FieldHistory:
@@ -606,11 +641,14 @@ def run_iteration(
     the sweep itself changes until the last sweeps, and the convergence test
     compares the actual iterates, so a converged run stays within
     O(fixed_point_tol) of the strict fixed point.  Each push after the first
-    is told which slices the previous push transported to the quiet time
-    (DensityHistory.alone) and steps those it refuses again together on one
-    lattice.  Every field update solves all slices, as one stack
-    (field_update), so a slice whose density repeats the previous sweep's
-    costs only its share of that one solve.
+    is told to expect a refusal where the previous push transported the slice
+    to the quiet time (DensityHistory.alone) or recorded an estimate
+    (DensityHistory.errors) that already reaches the new budget, tolerance
+    e^{-a t}, and it steps the expected slices it refuses together on one
+    lattice; the second push expects none, since the first walked no slice.
+    Every field update solves all slices, as one stack (field_update), so a
+    slice whose density repeats the previous sweep's costs only its share of
+    that one solve.
     What each sweep did and cost, Newton steps and residuals included, is
     recorded in result.sweeps.
     """
@@ -643,9 +681,11 @@ def run_iteration(
     tol = None
     for n in range(1, settings.max_iterations + 1):
         tolerance = FORCING * result.deltas[-1] if result.deltas else 0.0
-        alone = density.alone if density is not None else None
+        expected = None
+        if density is not None:  # what the previous push refused, or estimated past this budget
+            expected = density.alone | (density.errors >= tolerance * np.exp(-klass.a * times))
         start = time.perf_counter()
-        density = push_density(datum, history, vmax, settings.nv, tolerance, alone)
+        density = push_density(datum, history, vmax, settings.nv, tolerance, expected)
         pushed = time.perf_counter()
         new_history = field_update(density, grid)
         updated = time.perf_counter()
@@ -658,6 +698,7 @@ def run_iteration(
                 reused=times.size - transported,
                 composed=int(density.composed.sum()),
                 tolerance=tolerance,
+                spent=density.spent,
                 shared=int(density.shared.sum()),
                 discarded=int(density.discarded.sum()),
                 mesh_points=mesh,

@@ -137,6 +137,23 @@ def _eval_f_star_np_mod(datum, x, v):
     return asymptotic._bilinear(datum, x, v)
 
 
+def _bilinear_two_dimensional(datum, x, v):
+    """asymptotic._bilinear's formula with the table wrapped per call and its corners read by 2-D indexing."""
+    xn, vn, tab = datum.x_nodes, datum.v_nodes, datum.values
+    xe = np.concatenate([xn, [xn[0] + 1.0]])
+    te = np.vstack([tab, tab[:1]])
+    ix = np.clip(np.searchsorted(xe, x, side="right") - 1, 0, xe.size - 2)
+    iv = np.clip(np.searchsorted(vn, v, side="right") - 1, 0, vn.size - 2)
+    tx = (x - xe[ix]) / (xe[ix + 1] - xe[ix])
+    tv = (v - vn[iv]) / (vn[iv + 1] - vn[iv])
+    return (
+        te[ix, iv] * (1 - tx) * (1 - tv)
+        + te[ix + 1, iv] * tx * (1 - tv)
+        + te[ix, iv + 1] * (1 - tx) * tv
+        + te[ix + 1, iv + 1] * tx * tv
+    )
+
+
 class TestPeriodicReduction:
     """x - floor(x) in eval_f_star gives the bits np.mod(x, 1.0) gives."""
 
@@ -189,6 +206,37 @@ class TestTabulatedFamily:
         _, tab = self._sampled(vmax=6.0)
         with pytest.raises(OutOfRangeError):
             eval_f_star(tab, 0.1, 6.5)
+
+    def test_flat_gather_equals_two_dimensional_indexing(self):
+        # The corners gathered from the flat wrapped table, against the same
+        # formula read from a 2-D table that is wrapped on every call.
+        _, tab = self._sampled(nx=24, nv=97)
+        xn, vn = tab.x_nodes, tab.v_nodes
+        assert not tab.x_wrapped.flags.writeable and not tab.table_wrapped.flags.writeable
+        rng = np.random.default_rng(11)
+        x = np.concatenate([
+            rng.uniform(0.0, 1.0, 3000),
+            xn, xn, np.full(vn.size, xn[-1]),  # nodes
+            rng.uniform(xn[-1], 1.0, 200), [1.0, 0.0, -0.0],  # the wrap cell, and its edges
+            rng.uniform(0.0, 1.0, 4),  # at both v ends
+        ])
+        v = np.concatenate([
+            rng.uniform(vn[0], vn[-1], 3000),
+            np.resize(vn, xn.size), rng.uniform(vn[0], vn[-1], xn.size), vn,
+            rng.uniform(vn[0], vn[-1], 203),
+            [vn[0], vn[-1], vn[0], vn[-1]],
+        ])
+        got = asymptotic._bilinear(tab, x, v)
+        want = _bilinear_two_dimensional(tab, x, v)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # Broadcast rows and columns, as the free-streaming rows read the table.
+        xs = (x[None, :400] - 0.3 * vn[:, None]) % 1.0
+        got = asymptotic._bilinear(tab, xs, vn[:, None])
+        want = _bilinear_two_dimensional(tab, xs, vn[:, None])
+        assert got.tobytes() == want.tobytes()
+        for vq in (vn[0] - 1e-12, vn[-1] + 1e-12, np.array([0.0, 7.0])):
+            with pytest.raises(OutOfRangeError, match="^velocity query outside the tabulated grid$"):
+                asymptotic._bilinear(tab, np.full(np.shape(vq), 0.5), vq)
 
     def test_constructor_validation(self):
         x = np.arange(8) / 8.0

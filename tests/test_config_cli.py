@@ -248,6 +248,9 @@ class TestRunCommand:
         assert all(s["transported"] + s["reused"] == nodes for s in sweeps)
         # The last slice before the quiet time is never composed.
         assert all(s["composed"] <= max(s["transported"] - 1, 0) for s in sweeps)
+        # A composed slice's chain stays strictly inside its budget, and spends some of it.
+        assert all((0.0 < s["spent"] < 1.0) == (s["composed"] > 0) for s in sweeps)
+        assert all(s["spent"] == 0.0 for s in sweeps if s["composed"] == 0)
         assert all(s["push_s"] > 0.0 and s["update_s"] > 0.0 for s in sweeps)
         # Every slice takes at least one Newton step from Utilde = 0 and ends within the tolerance.
         assert all(s["newton_steps"] >= nodes and s["newton_at_floor"] == 0 for s in sweeps)
@@ -257,7 +260,8 @@ class TestRunCommand:
             line = (
                 f"  sweep {n}: quiet time {s['quiet_time']!r},"
                 f" slices transported {s['transported']}, reused {s['reused']},"
-                f" composed {s['composed']} within tolerance {s['tolerance']!r},"
+                f" composed {s['composed']} within tolerance {s['tolerance']!r}"
+                f" (spent {s['spent']!r}),"
                 f" shared {s['shared']}, discarded {s['discarded']},"
                 f" mesh points {s['mesh_points']},"
                 f" sampled points {s['sampled_points']},"

@@ -401,8 +401,25 @@ def _swept(datum, settings: RunSettings, sweeps: int = 1):
     return datum, result.field_history, result.vmax, settings.nv
 
 
+def _cli_table():
+    """A table of the cli-tabulated benchmark's form on 64 x 129 nodes.
+
+    c g_sigma(v) (1 + sum_k eps_k cos(2 pi k x + phi_k)), c = sigma = 1.
+    """
+    x = np.arange(64) / 64.0
+    v = np.linspace(-8.0, 8.0, 129)
+    fx = 1.0 + sum(
+        eps * np.cos(2.0 * np.pi * k * x + phi)
+        for k, (eps, phi) in enumerate(zip((0.15, 0.1, 0.2), (0.4, 2.1, 5.0)), start=1)
+    )
+    g = np.exp(-(v**2) / 2.0) / math.sqrt(2.0 * math.pi)
+    return make_tabulated_datum(x, v, np.outer(fx, g), EXPLORATORY_KLASS)
+
+
 # The field histories of the composition oracles, as (datum, history, vmax, nv).
 _NX16 = RunSettings(nx=16, nv=256, nt=24, vmax=4.0, horizon=3.0, exploratory=True)
+# The perfbench cli-tabulated grid: a one-block table mesh of 65 x 64 = 4,160 points.
+_CLI_TABULATED = RunSettings(nx=64, nv=64, nt=20, vmax=6.0, horizon=3.0, exploratory=True)
 _COMPOSITION_CASES = {
     # The perfbench theorem-certify grid and a draw of its datum.
     "theorem-certify": lambda: _swept(
@@ -421,6 +438,7 @@ _COMPOSITION_CASES = {
         RunSettings(nx=64, nv=64, nt=30, horizon=3.0, exploratory=True),
     ),
     "table": lambda: _swept(_datum("tabulated", sigma=0.5), _NX16, sweeps=2),
+    "cli-tabulated": lambda: _swept(_cli_table(), _CLI_TABULATED, sweeps=2),
 }
 
 
@@ -524,12 +542,18 @@ class TestInexactSweeps:
         density = push_density(datum, hist, vmax, nv, tolerance)
         n = scheme._transported_slices(hist)
         assert len(errors) == n - 1 and not density.composed[n - 1]
-        chain = 0.0
+        chain, spent = 0.0, 0.0
         for i, error in zip(range(n - 2, -1, -1), errors):  # the push walks backward
-            admitted = chain + error < tolerance * math.exp(-a * hist.times[i])
+            budget = tolerance * math.exp(-a * hist.times[i])
+            admitted = chain + error < budget
             assert density.composed[i] == admitted
+            assert density.errors[i] == error
             chain = chain + error if admitted else 0.0
+            spent = max(spent, chain / budget)
         assert 0 < density.composed.sum() < n - 1
+        # The errors of the walk are recorded, 0 where it made none; spent is the fullest budget.
+        assert density.errors[n - 1] == 0.0 and not density.errors[n:].any()
+        assert density.spent == spent and 0.0 < spent < 1.0
 
     def test_lingering_run_keeps_its_sweeps_and_fixed_point(self, monkeypatch):
         datum = make_gaussian_cosine_datum(1.0, 0.3, EXPLORATORY_KLASS)
@@ -599,6 +623,66 @@ class TestSharedLattice:
         density = push_density(datum, hist, vmax, nv)
         assert not density.shared.any()
         assert np.array_equal(density.rho[:n], exact)
+
+    def test_a_table_mesh_shares_lattices(self, monkeypatch):
+        # Pairs of 4,160-point table slices fit SHARED_POINTS: a strict push
+        # groups them, with the decisions and, to round-off, the rows of a
+        # push that steps every slice alone.
+        datum, hist, vmax, nv = _COMPOSITION_CASES["cli-tabulated"]()
+        n = scheme._transported_slices(hist)
+        mesh = (nv + 1) * hist.grid.nx
+        assert mesh == 4160 and len(scheme._row_blocks(nv + 1, hist.grid.nx)) == 1
+        leaders = _leading_starts(monkeypatch)
+        strict = push_density(datum, hist, vmax, nv)
+        leaders = list(leaders)
+        assert strict.shared[:n].all() and len(leaders) == (n + 1) // 2
+        monkeypatch.setattr(scheme, "SHARED_POINTS", mesh)  # one slice per lattice
+        single = push_density(datum, hist, vmax, nv)
+        assert not single.shared.any()
+        assert np.array_equal(strict.composed, single.composed)
+        assert np.array_equal(strict.alone, single.alone)
+        assert _relative_error(strict.rho, single.rho) <= 1e-13
+        own = _own_rows(strict, hist.times.size, leaders)
+        assert own[:n].sum() == len(leaders)
+        assert np.array_equal(strict.rho[own], single.rho[own])
+
+    @pytest.mark.parametrize("case", ["lingering", "cli-tabulated"])
+    def test_foresight_discards_nothing_late(self, case, monkeypatch):
+        # Sweep n expects the slices sweep n - 1 transported alone, and those
+        # whose estimate there already reached sweep n's budget.  On these
+        # data nothing transported ahead composes after all from sweep 3 on,
+        # and every sweep composes what a run that expects nothing composes.
+        datum, settings = {
+            "lingering": (make_gaussian_cosine_datum(1.0, 0.3, EXPLORATORY_KLASS), _LINGERING),
+            "cli-tabulated": (_cli_table(), _CLI_TABULATED),
+        }[case]
+        push = scheme.push_density
+        pushes = []
+
+        def recording(*args):
+            pushes.append((args[4], args[5], push(*args)))
+            return pushes[-1][2]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            monkeypatch.setattr(scheme, "push_density", recording)
+            foresight = run_iteration(datum, settings)
+            monkeypatch.setattr(scheme, "push_density", lambda *args: push(*args[:5]))
+            blind = run_iteration(datum, settings)
+        assert pushes[0][1] is None
+        by_estimate = 0
+        for (_, _, previous), (tolerance, expected, _) in zip(pushes, pushes[1:]):
+            budget = tolerance * np.exp(-datum.klass.a * previous.times)
+            assert np.array_equal(expected, previous.alone | (previous.errors >= budget))
+            by_estimate += int((expected & ~previous.alone).sum())
+        assert by_estimate > 0
+        assert foresight.converged and foresight.iterations == blind.iterations
+        assert [s.composed for s in foresight.sweeps] == [s.composed for s in blind.sweeps]
+        assert not any(s.shared or s.discarded for s in blind.sweeps[1:])
+        assert all(s.discarded == 0 for s in foresight.sweeps[2:])
+        assert foresight.sweeps[-1].shared > 0
+        assert foresight.sweeps[1].shared == 0  # sweep 1 walked no slice: nothing expected
+        assert _relative_error(foresight.field_history.E, blind.field_history.E) <= 1e-12
 
     @pytest.mark.parametrize("sweeps", [1, 4])
     def test_expectations_change_only_the_cost(self, sweeps, monkeypatch):
@@ -773,7 +857,7 @@ class TestSweepCounters:
             result = run_iteration(datum, settings)
         rows = settings.nv // 2 + 1 if datum.reflection_symmetric else settings.nv + 1
         assert all(s.mesh_points == rows * settings.nx for s in result.sweeps)
-        assert all(size <= rows * settings.nx for size in sampled)
+        _assert_meshes(set(sampled), rows * settings.nx)
         assert sum(s.sampled_points for s in result.sweeps) == sum(sampled) > 0
 
 
