@@ -17,6 +17,7 @@ the pointwise velocity tail |f*| <= a2 / (1 + v^4), and the Fourier envelope
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,22 +215,58 @@ def make_tabulated_datum(
     )
 
 
+def _read_csv_columns(path, names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+    """The named columns of a CSV table, as float arrays in row order.
+
+    The first line that is neither blank nor a ``#`` comment is the header
+    of comma-separated column names, in any order; columns it names but that
+    are not asked for are read and dropped.  The rows below are parsed by
+    numpy's C reader: a ``#`` starts a comment, blank lines are skipped.  A
+    missing or repeated column, a row that is not all numbers or has a
+    different number of values, and a table with no data rows raise
+    ParameterError naming the file (and numpy's row, counted over data rows).
+    """
+    with open(path) as fh:
+        header = ""
+        while not header:
+            line = fh.readline()
+            if not line:
+                raise ParameterError(f"{path}: no header line")
+            header = line.split("#", 1)[0].strip()
+        columns = [name.strip() for name in header.split(",")]
+        for name in names:
+            if columns.count(name) != 1:
+                what = "missing" if name not in columns else "repeated"
+                raise ParameterError(f"{path}: {what} column {name!r}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ParameterError(f"{path}: {str(exc).split(';', 1)[0]}") from exc
+    if rows.size == 0:
+        raise ParameterError(f"{path}: no data rows")
+    if rows.shape[1] != len(columns):
+        raise ParameterError(f"{path}: rows have {rows.shape[1]} values, the header names {len(columns)}")
+    return tuple(rows[:, columns.index(name)] for name in names)
+
+
 def load_tabulated_grid(path, klass: ClassParameters) -> AsymptoticDatum:
-    """Load a tabulated datum from a CSV file with header row ``x,v,f``."""
-    raw = np.genfromtxt(path, delimiter=",", names=True)
-    for col in ("x", "v", "f"):
-        if col not in (raw.dtype.names or ()):
-            raise ParameterError(f"grid file missing column {col!r}")
-    x_nodes = np.unique(raw["x"])
-    v_nodes = np.unique(raw["v"])
-    if raw.size != x_nodes.size * v_nodes.size:
-        raise ParameterError("grid file does not cover a full rectangular lattice")
+    """Load a tabulated datum from a CSV file with columns ``x``, ``v`` and ``f``."""
+    x, v, f = _read_csv_columns(path, ("x", "v", "f"))
+    finite = np.isfinite(x) & np.isfinite(v) & np.isfinite(f)
+    if not np.all(finite):
+        raise ParameterError(f"{path}: non-finite value in data row {int(np.argmin(finite)) + 1}")
+    x_nodes = np.unique(x)
+    v_nodes = np.unique(v)
+    if f.size != x_nodes.size * v_nodes.size:
+        raise ParameterError(f"{path}: grid file does not cover a full rectangular lattice")
     values = np.full((x_nodes.size, v_nodes.size), np.nan)
-    ix = np.searchsorted(x_nodes, raw["x"])
-    iv = np.searchsorted(v_nodes, raw["v"])
-    values[ix, iv] = raw["f"]
+    ix = np.searchsorted(x_nodes, x)
+    iv = np.searchsorted(v_nodes, v)
+    values[ix, iv] = f
     if np.any(np.isnan(values)):
-        raise ParameterError("grid file has duplicate or missing lattice entries")
+        raise ParameterError(f"{path}: grid file has duplicate or missing lattice entries")
     return make_tabulated_datum(x_nodes, v_nodes, values, klass)
 
 

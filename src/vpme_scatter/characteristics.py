@@ -191,23 +191,10 @@ class FieldHistory:
 
 
 def nystrom_steps(span: float, step: float) -> int:
-    """Number of fixed steps _nystrom_span takes over a span of the given length."""
+    """Number of fixed Nystrom steps of at most the given step over a span of the given length."""
     if span == 0.0:
         return 0
     return max(1, int(math.ceil(abs(span) / step - 1e-12)))
-
-
-def _nystrom_span(field, t_from: float, t_to: float, X, V, step: float):
-    """Advance (X, V) from t_from to t_to with the fixed-step Nystrom method; either direction."""
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
-        raise IntegrationError(f"non-finite phase state at t={t_from:g}")
-    if t_to == t_from:
-        return X, V
-    nsteps = nystrom_steps(t_to - t_from, step)
-    X, V = _nystrom_steps(field, t_from, t_to, nsteps, X[None], V[None], [0])
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
-        raise IntegrationError(f"non-finite state integrating from t={t_from:g} to t={t_to:g}")
-    return X[0], V[0]
 
 
 def _nystrom_steps(field, t_from: float, t_to: float, nsteps: int, X, V, joins):

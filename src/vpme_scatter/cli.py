@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .asymptotic import validate_class_membership
+from .asymptotic import _read_csv_columns, validate_class_membership
 from .characteristics import FieldHistory
 from .config import RunConfig, build_datum, parse_config, serialize_config
 from .diagnostics import (
@@ -46,7 +46,7 @@ from .diagnostics import (
     weak_convergence_gap,
     weak_gap_sampling,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .poisson import SpatialGrid
 from .scheme import RunSettings, SchemeResult, run_iteration
 
@@ -288,17 +288,22 @@ def decay_report_command(run_dir: Path) -> int:
         return 1
     manifest = json.loads(manifest_path.read_text())
     config = parse_config(manifest["config"])
-    raw = np.genfromtxt(fields_path, delimiter=",", names=True)
-    times = np.unique(raw["t"])
-    nx = raw.size // times.size
-    E = raw["E"].reshape(times.size, nx)
+    t, x, Ebar, Etilde, E = _read_csv_columns(fields_path, ("t", "x", "Ebar", "Etilde", "E"))
+    times, nodes = np.unique(t), np.unique(x)
+    shape = (times.size, nodes.size)
+    if (
+        t.size != times.size * nodes.size
+        or np.any(t.reshape(shape) != times[:, None])
+        or np.any(x.reshape(shape) != nodes)
+    ):
+        raise ParameterError(f"{fields_path}: rows do not cover the (t, x) lattice, t-major, x ascending")
     history = FieldHistory(
         times=times,
-        grid=SpatialGrid(nx),
-        Ebar=raw["Ebar"].reshape(times.size, nx),
-        Etilde=raw["Etilde"].reshape(times.size, nx),
+        grid=SpatialGrid(nodes.size),
+        Ebar=Ebar.reshape(shape),
+        Etilde=Etilde.reshape(shape),
     )
-    if not np.allclose(history.E, E):
+    if not np.allclose(history.E, E.reshape(shape)):
         print(f"{fields_path}: column E differs from Ebar + Etilde", file=sys.stderr)
         return 1
     report = decay_fit(history, config.klass)

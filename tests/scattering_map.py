@@ -1,7 +1,7 @@
 """The scattering map on single phase points: labels, flows and reconstructed values.
 
 The package transports whole phase meshes (scheme.transported_datum); these
-pointwise maps are built from the same flow (characteristics._nystrom_span
+pointwise maps are built from the same flow (characteristics._nystrom_steps
 and the history's quiet time) for the tests that check the flow itself.
 """
 
@@ -15,10 +15,11 @@ from vpme_scatter.asymptotic import AsymptoticDatum, eval_f_star
 from vpme_scatter.characteristics import (
     SUBSTEPS,
     FieldHistory,
-    _nystrom_span,
+    _nystrom_steps,
+    nystrom_steps,
     transport_to_horizon,
 )
-from vpme_scatter.errors import OutOfRangeError
+from vpme_scatter.errors import IntegrationError, OutOfRangeError
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,25 @@ class PhasePoint:
         object.__setattr__(self, "x", float(self.x) % 1.0)
 
 
+def nystrom_span(field, t_from: float, t_to: float, X, V, step: float):
+    """Advance (X, V) from t_from to t_to with the fixed-step Nystrom method; either direction."""
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
+        raise IntegrationError(f"non-finite phase state at t={t_from:g}")
+    if t_to == t_from:
+        return X, V
+    nsteps = nystrom_steps(t_to - t_from, step)
+    X, V = _nystrom_steps(field, t_from, t_to, nsteps, X[None], V[None], [0])
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
+        raise IntegrationError(f"non-finite state integrating from t={t_from:g} to t={t_to:g}")
+    return X[0], V[0]
+
+
 def transport_from_horizon(field, t: float, X, V, step: float):
     """Backward map from the horizon state (X, V) to time t."""
     T = field.horizon
     tq = min(max(field.quiet_time(), t), T)
     X = X - V * (T - tq)
-    return _nystrom_span(field, tq, t, X, V, step)
+    return nystrom_span(field, tq, t, X, V, step)
 
 
 def _check_time(field, t: float):

@@ -1,6 +1,7 @@
 """Asymptotic data: construction, evaluation, transforms, class membership."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -283,12 +284,64 @@ class TestTabulatedFamily:
         path = tmp_path / "grid.csv"
         path.write_text("\n".join(lines) + "\n")
         datum = load_tabulated_grid(path, EXPLORATORY_KLASS)
-        np.testing.assert_allclose(datum.values, vals, atol=1e-15)
+        assert datum.values.tobytes() == vals.tobytes()
+        assert datum.x_nodes.tobytes() == x.tobytes() and datum.v_nodes.tobytes() == v.tobytes()
 
-    def test_csv_missing_column(self, tmp_path):
+    def test_csv_any_row_and_column_order(self, tmp_path):
+        # A repr-formatted table read in lattice order, and the same rows
+        # shuffled, with permuted and extra columns, CRLF line endings and
+        # comments: the same datum, bit for bit.
+        rng = np.random.default_rng(5)
+        x = np.arange(8) / 8.0
+        v = np.linspace(-3.0, 3.0, 7)
+        vals = rng.uniform(0.0, 1.0, (x.size, v.size)) * np.exp(-(v**2))
+        rows = [(xi, vj, fij) for xi, row in zip(x.tolist(), vals.tolist()) for vj, fij in zip(v.tolist(), row)]
+        ordered = tmp_path / "ordered.csv"
+        ordered.write_text("x,v,f\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows))
+        shuffled = tmp_path / "shuffled.csv"
+        lines = [f"{b!r}, {c!r},{a!r},{k}.5 # row {k}\r\n" for k, (a, b, c) in enumerate(rows)]
+        rng.shuffle(lines)
+        lines.insert(len(lines) // 2, "# a comment line\r\n\r\n")
+        shuffled.write_bytes(("# f* on the lattice\r\nv, f,x,w\r\n" + "".join(lines)).encode())
+        want = load_tabulated_grid(ordered, EXPLORATORY_KLASS)
+        assert want.values.tobytes() == vals.tobytes()
+        got = load_tabulated_grid(shuffled, EXPLORATORY_KLASS)
+        for name in ("x_nodes", "v_nodes", "values"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_csv_parses_as_genfromtxt(self, tmp_path):
+        # The values numpy's C reader returns are those of the Python float
+        # parser behind np.genfromtxt, for shortest-repr and %.17g digits.
+        rng = np.random.default_rng(11)
+        table = rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-30, 30, (200, 3))
+        for fmt in ("{!r}", "{:.17g}", "{:.6e}"):
+            path = tmp_path / "table.csv"
+            path.write_text("a,b,c\n" + "".join(",".join(fmt.format(q) for q in row) + "\n" for row in table.tolist()))
+            want = np.genfromtxt(path, delimiter=",", names=True)
+            got = asymptotic._read_csv_columns(path, ("c", "a", "b"))
+            for name, column in zip("cab", got):
+                assert column.tobytes() == np.ascontiguousarray(want[name]).tobytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,v\n0.0,0.0\n", "missing column 'f'"),
+            ("x,v,f,x\n0.0,0.0,1.0,0.0\n", "repeated column 'x'"),
+            ("x,v,f\n0.0,0.0,1.0\n0.0,abc,1.0\n", "could not convert string 'abc'"),
+            ("x,v,f\n0.0,0.0,1.0\n0.0,,1.0\n", "could not convert string ''"),
+            ("x,v,f\n0.0,0.0,1.0\n0.0,1.0,nan\n", "non-finite value in data row 2"),
+            ("x,v,f\n0.0,0.0,1.0\n-inf,1.0,1.0\n", "non-finite value in data row 2"),
+            ("x,v,f\n0.0,0.0,1.0\n0.5,1.0\n", "number of columns changed from 3 to 2"),
+            ("x,v,f\n0.0,0.0\n0.5,1.0\n", "rows have 2 values, the header names 3"),
+            ("x,v,f\n", "no data rows"),
+            ("x,v,f\n# only a comment\n\n", "no data rows"),
+            ("\n# nothing\n", "no header line"),
+        ],
+    )
+    def test_csv_malformed_table_is_refused(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
-        path.write_text("x,v\n0.0,0.0\n")
-        with pytest.raises(ParameterError):
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
             load_tabulated_grid(path, EXPLORATORY_KLASS)
 
     def test_csv_incomplete_lattice(self, tmp_path):

@@ -12,7 +12,6 @@ from vpme_scatter.characteristics import (
     FieldHistory,
     _cubic_coefficients,
     _eval_cubic,
-    _nystrom_span,
     transport_to,
     transport_to_horizon,
 )
@@ -25,6 +24,7 @@ from scattering_map import (
     PhasePoint,
     flow_from_label,
     label_from_point,
+    nystrom_span,
     sample_field,
     transport_from_horizon,
 )
@@ -261,7 +261,7 @@ class TestUniformDecayOracle:
                 return np.full_like(x, np.inf)
 
         with pytest.raises(IntegrationError):
-            _nystrom_span(Blowup(), 0.0, 1.0, np.array([0.0]), np.array([0.0]), 0.1)
+            nystrom_span(Blowup(), 0.0, 1.0, np.array([0.0]), np.array([0.0]), 0.1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("coordinate", ["X", "V"])
@@ -372,7 +372,7 @@ class TestSharedLattice:
         t, step = float(hist.times[node]), hist.dt / 4
         X, V = self.STATE
         tq = max(hist.quiet_time(), t)
-        XQ, VQ = _nystrom_span(hist, t, tq, X, V, step)
+        XQ, VQ = nystrom_span(hist, t, tq, X, V, step)
         want = (XQ + VQ * (hist.horizon - tq), VQ)
         for got in (
             transport_to_horizon(hist, t, X, V, step),

@@ -405,6 +405,33 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'fields.csv'}: column E differs from Ebar + Etilde" in err
 
+    def test_decay_report_rejects_a_missing_column(self, finished_run, tmp_path, capsys):
+        _, out, _ = finished_run
+        (tmp_path / "manifest.json").write_bytes((out / "manifest.json").read_bytes())
+        lines = (out / "fields.csv").read_text().splitlines()
+        assert lines[0] == "t,x,Ebar,Etilde,E"
+        cut = [",".join(line.split(",")[:3] + line.split(",")[4:]) for line in lines]
+        (tmp_path / "fields.csv").write_text("\n".join(cut) + "\n")
+        assert main(["decay-report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'fields.csv'}: missing column 'Etilde'\n"
+
+    @pytest.mark.parametrize("edit", ["drop", "swap"])
+    def test_decay_report_rejects_a_partial_lattice(self, finished_run, tmp_path, capsys, edit):
+        # A row left out, or two rows of one time exchanged: the rows no
+        # longer read as the (t, x) lattice the run wrote.
+        _, out, _ = finished_run
+        (tmp_path / "manifest.json").write_bytes((out / "manifest.json").read_bytes())
+        lines = (out / "fields.csv").read_text().splitlines(keepends=True)
+        if edit == "drop":
+            del lines[7]
+        else:
+            lines[6], lines[7] = lines[7], lines[6]
+        (tmp_path / "fields.csv").write_text("".join(lines))
+        assert main(["decay-report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'fields.csv'}: rows do not cover the (t, x) lattice")
+
     def test_decay_report_refuses_a_manifest_with_retired_keys(self, finished_run, tmp_path, capsys):
         # A run directory written while solver.newton_tol and solver.ode_substeps were settings.
         _, out, _ = finished_run
