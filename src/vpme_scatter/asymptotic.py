@@ -17,6 +17,7 @@ the pointwise velocity tail |f*| <= a2 / (1 + v^4), and the Fourier envelope
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -215,16 +216,51 @@ def make_tabulated_datum(
     )
 
 
+def _data_line(path, index: int) -> int | None:
+    """The 1-based line of a CSV file holding data row index (from 0, as np.loadtxt counts), None past the last.
+
+    The header is the first line that is neither blank nor a ``#`` comment;
+    numpy counts each later line that is not empty once its comment is cut.
+    """
+    with open(path) as fh:
+        header = False
+        for number, line in enumerate(fh, start=1):
+            text = line.rstrip("\n").split("#", 1)[0]
+            if not header:
+                header = bool(text.strip())
+            elif text:
+                if index == 0:
+                    return number
+                index -= 1
+    return None
+
+
+def _numpy_error(path, exc: ValueError) -> str:
+    """np.loadtxt's message with its row number made the 1-based file line.
+
+    numpy counts data rows only, from 0 for a field that does not convert
+    and from 1 for a changed number of columns.
+    """
+    message = str(exc).split(";", 1)[0]
+    row = re.search(r" at row (\d+)", message)
+    line = row and _data_line(path, int(row.group(1)) - (not message.startswith("could not convert")))
+    if line is None:
+        return message
+    return f"{message[: row.start()]} on line {line}{message[row.end() :]}"
+
+
 def _read_csv_columns(path, names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
-    """The named columns of a CSV table, as float arrays in row order.
+    """The named columns of a CSV table, as finite float arrays in row order.
 
     The first line that is neither blank nor a ``#`` comment is the header
     of comma-separated column names, in any order; columns it names but that
     are not asked for are read and dropped.  The rows below are parsed by
     numpy's C reader: a ``#`` starts a comment, blank lines are skipped.  A
     missing or repeated column, a row that is not all numbers or has a
-    different number of values, and a table with no data rows raise
-    ParameterError naming the file (and numpy's row, counted over data rows).
+    different number of values, a non-finite value in a named column and a
+    table with no data rows raise ParameterError naming the file (and the
+    1-based line of the bad row, the header, comments and blank lines
+    counted).
     """
     with open(path) as fh:
         header = ""
@@ -243,22 +279,29 @@ def _read_csv_columns(path, names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
                 rows = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
-            raise ParameterError(f"{path}: {str(exc).split(';', 1)[0]}") from exc
+            raise ParameterError(f"{path}: {_numpy_error(path, exc)}") from exc
     if rows.size == 0:
         raise ParameterError(f"{path}: no data rows")
     if rows.shape[1] != len(columns):
         raise ParameterError(f"{path}: rows have {rows.shape[1]} values, the header names {len(columns)}")
-    return tuple(rows[:, columns.index(name)] for name in names)
+    named = rows[:, [columns.index(name) for name in names]]
+    finite = np.isfinite(named).all(axis=1)
+    if not finite.all():
+        raise ParameterError(f"{path}: non-finite value on line {_data_line(path, int(np.argmin(finite)))}")
+    return tuple(named.T)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a finite array (np.unique without its masked-array import)."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
 def load_tabulated_grid(path, klass: ClassParameters) -> AsymptoticDatum:
     """Load a tabulated datum from a CSV file with columns ``x``, ``v`` and ``f``."""
     x, v, f = _read_csv_columns(path, ("x", "v", "f"))
-    finite = np.isfinite(x) & np.isfinite(v) & np.isfinite(f)
-    if not np.all(finite):
-        raise ParameterError(f"{path}: non-finite value in data row {int(np.argmin(finite)) + 1}")
-    x_nodes = np.unique(x)
-    v_nodes = np.unique(v)
+    x_nodes = _distinct(x)
+    v_nodes = _distinct(v)
     if f.size != x_nodes.size * v_nodes.size:
         raise ParameterError(f"{path}: grid file does not cover a full rectangular lattice")
     values = np.full((x_nodes.size, v_nodes.size), np.nan)
@@ -337,15 +380,24 @@ def tabulated_fourier(datum: AsymptoticDatum, ks, etas) -> np.ndarray:
     """fhat*(k, eta) of a tabulated datum on the lattice ks x etas.
 
     Trapezoid quadrature, periodic in x (the wrap cell [x_last, x_first + 1)
-    closes the period) and truncated in v, evaluated as the matrix product
-    Ex(k, x) @ values @ Ev(v, eta) with the weights folded into both factors.
+    closes the period) and truncated in v, with the weights folded into the
+    cosine and sine factors Cx + i Sx = w_x e^{2 pi i k x} and
+    Cv + i Sv = w_v e^{i v eta}: fhat* = (Cx F Cv - Sx F Sv) - i (Cx F Sv + Sx F Cv)
+    for the table F, from two real einsum contractions.  They are plain sums
+    of products, not BLAS-3 calls: for products this small a threaded BLAS
+    first wakes its idle thread pool, and a catalog table's validation took
+    38 ms with two OpenBLAS threads against 1.6 ms with one, and 2.6 ms with
+    the contractions (2-core Xeon host).
     """
-    xn, vn = datum.x_nodes, datum.v_nodes
+    n, m = len(ks), len(etas)
     wx = _trapezoid_weights(datum.x_wrapped)
     wx[0] += wx[-1]
-    ex = wx[:-1] * np.exp(-2j * np.pi * np.outer(ks, xn))
-    ev = _trapezoid_weights(vn)[:, None] * np.exp(-1j * np.outer(vn, etas))
-    return ex @ datum.values @ ev
+    wx, wv = wx[:-1], _trapezoid_weights(datum.v_nodes)[:, None]
+    x = 2.0 * np.pi * np.outer(ks, datum.x_nodes)
+    v = np.outer(datum.v_nodes, etas)
+    fv = np.einsum("xv,ve->xe", datum.values, np.hstack((wv * np.cos(v), wv * np.sin(v))))
+    h = np.einsum("kx,xe->ke", np.vstack((wx * np.cos(x), wx * np.sin(x))), fv)
+    return (h[:n, :m] - h[n:, m:]) - 1j * (h[:n, m:] + h[n:, :m])
 
 
 def h_limit(datum: AsymptoticDatum, v):
@@ -358,6 +410,27 @@ def h_limit(datum: AsymptoticDatum, v):
     vals = eval_f_star(datum, xn[:, None], v[None, :] * np.ones((xn.size, 1)))
     ve = np.vstack([vals, vals[:1]])
     return np.trapezoid(ve, datum.x_wrapped, axis=0)
+
+
+def velocity_profile(datum: AsymptoticDatum, lo, hi) -> np.ndarray:
+    """sup |f*(x, u)| over the torus and the band lo <= u <= hi, elementwise over arrays lo <= hi.
+
+    For the gaussian-cosine family that is 2 c g_sigma at the u of the band
+    nearest 0.  A table is bilinear, so on a band it is at most the largest
+    column maximum of |values| over the v nodes of the band and the two that
+    bracket it.  lo = -inf, hi = inf gives sup |f*|.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if datum.family == "gaussian-cosine":
+        return 2.0 * datum.amplitude * _gaussian(np.clip(0.0, lo, hi), datum.sigma)
+    vn = datum.v_nodes
+    first = np.clip(np.searchsorted(vn, lo, side="right") - 1, 0, vn.size - 1)
+    last = np.clip(np.searchsorted(vn, hi, side="left"), 0, vn.size - 1)
+    # Column maxima with a 0 past the last, reduced over [first, last + 1)
+    # at the even bounds (the odd ones reduce the gaps between bands).
+    top = np.append(np.max(np.abs(datum.values), axis=0), 0.0)
+    bounds = np.stack((first.ravel(), last.ravel() + 1), axis=-1).ravel()
+    return np.maximum.reduceat(top, bounds)[::2].reshape(first.shape)
 
 
 def datum_mass(datum: AsymptoticDatum) -> float:

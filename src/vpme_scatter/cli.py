@@ -10,7 +10,8 @@ mode a failing certificate is an error, in exploratory mode it is reported.
 What each sweep did (its quiet time, slices transported and reused, slices
 composed from the next slice's labels, the field tolerance they were
 composed within and the largest share of it spent, phase points per
-transported slice, field points sampled)
+transported slice, the velocity rows read by free flight and the kick bound
+that decided them, field points sampled)
 goes to summary.txt and,
 with the sweep's push and update wall times, under ``stats`` in
 manifest.json; none of it goes into the tables, and no timing into
@@ -35,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .asymptotic import _read_csv_columns, validate_class_membership
+from .asymptotic import _distinct, _read_csv_columns, validate_class_membership
 from .characteristics import FieldHistory
 from .config import RunConfig, build_datum, parse_config, serialize_config
 from .diagnostics import (
@@ -150,7 +151,7 @@ def render_summary(result: SchemeResult, reports: dict) -> str:
             f" composed {sweep.composed} within tolerance {_fmt(sweep.tolerance)}"
             f" (spent {_fmt(sweep.spent)}),"
             f" shared {sweep.shared}, discarded {sweep.discarded},"
-            f" mesh points {sweep.mesh_points},"
+            f" mesh points {sweep.mesh_points} ({sweep.free_rows} free rows, reach {_fmt(sweep.reach)}),"
             f" sampled points {sweep.sampled_points},"
             f" Newton steps {sweep.newton_steps} (worst residual {_fmt(sweep.newton_residual)},"
             f" {sweep.newton_at_floor} at the round-off floor)"
@@ -289,7 +290,7 @@ def decay_report_command(run_dir: Path) -> int:
     manifest = json.loads(manifest_path.read_text())
     config = parse_config(manifest["config"])
     t, x, Ebar, Etilde, E = _read_csv_columns(fields_path, ("t", "x", "Ebar", "Etilde", "E"))
-    times, nodes = np.unique(t), np.unique(x)
+    times, nodes = _distinct(t), _distinct(x)
     shape = (times.size, nodes.size)
     if (
         t.size != times.size * nodes.size

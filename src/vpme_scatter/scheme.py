@@ -24,6 +24,15 @@ transports only the rows v >= 0 of such a slice, (nv/2 + 1) nx points, and
 reads each row -v_k from row v_k at the mirrored x nodes; the density push
 and the weak gaps get whole slices either way.
 
+The solution is f* at the labels, and a label's velocity lies within K of
+its row's, K the bound _reach puts on the kick of the field's velocity
+samples.  So where f* stays below REACH_TOL sup |f*| on every velocity a row
+can reach, f on that row is as small as its free flight f*(x - v t, v), and
+transported_datum reads the row that way: default_vmax pads gaussian data
+two widths past that tail, a quarter of a lingering slice's rows.  Every
+slice of a push keeps the same rows, so its label composition and shared
+lattices see one mesh.
+
 The labels of consecutive slices compose, l_i = l_{i+1} o Phi_{t_i -> t_{i+1}},
 as in characteristic-mapping methods (Yin, Mercier, Yadav, Schneider and
 Nave, J. Comput. Phys. 424, 2021).  A push walks the slices before the quiet
@@ -82,6 +91,7 @@ from .asymptotic import (
     eval_f_star,
     h_limit,
     validate_class_membership,
+    velocity_profile,
 )
 from .characteristics import (
     SUBSTEPS,
@@ -112,6 +122,10 @@ TRANSPORT_BLOCK = 16384
 # faster on lingering and raised the benchmark's peak resident memory by
 # 2.1 MB against 0.7 MB, since every temporary of a step grows with the group.
 SHARED_POINTS = 8320
+# A velocity row whose labels can only reach velocities where sup_x |f*| is
+# below REACH_TOL sup |f*| is read by free flight, f*(x - v t, v): both values
+# are that small.
+REACH_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -172,8 +186,12 @@ class SweepStats:
     the slices transported to the quiet time on one Nystrom lattice with
     other slices, and discarded the slices transported ahead with others that
     composed after all; mesh_points is the number of phase points each
-    transported slice carries ((nv/2 + 1) nx for a reflection-symmetric
-    datum, (nv + 1) nx otherwise); sampled_points counts the field samples of
+    transported slice carries, nx times the rows transported: of the
+    nv/2 + 1 rows v >= 0 for a reflection-symmetric datum, of all nv + 1
+    otherwise, less the free_rows among them read by free flight because
+    their labels cannot reach f*'s support; reach is the bound on the
+    velocity kick that decided those rows (scheme._reach of the field
+    pushed on); sampled_points counts the field samples of
     the transport (three per Nystrom step taken per transported point),
     discarded transports included; newton_steps sums the Newton steps
     (Jacobian solves) of the field update over its slices, newton_residual is
@@ -191,6 +209,8 @@ class SweepStats:
     shared: int
     discarded: int
     mesh_points: int
+    free_rows: int
+    reach: float
     sampled_points: int
     newton_steps: int
     newton_residual: float
@@ -240,6 +260,8 @@ def velocity_grid(vmax: float, nv: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _row_blocks(rows: int, nx: int) -> list[slice]:
     """Equal blocks of whole velocity rows, at most TRANSPORT_BLOCK points each (one row if nx is more)."""
+    if not rows:
+        return []
     size = max(1, TRANSPORT_BLOCK // nx)
     size = math.ceil(rows / math.ceil(rows / size))
     return [slice(lo, lo + size) for lo in range(0, rows, size)]
@@ -288,7 +310,7 @@ def _composition_error(
     slope_v /= float(np.min(np.abs(np.diff(v)), initial=np.inf))
     slope_x *= nx
     displacement = span * field_max * (slope_v + 0.5 * span * slope_x)
-    return displacement + max(float(D.max()), -float(D.min())) * interpolation
+    return displacement + max(float(D.max(initial=0.0)), -float(D.min(initial=0.0))) * interpolation
 
 
 @dataclass(frozen=True)
@@ -360,12 +382,16 @@ def transported_datum(
     the slice's SliceTransport, which also records the slice's own
     composition estimate and, if it composed, the share of its budget spent.
 
-    Only the _transported_velocities rows go through the characteristics.
-    For a reflection-symmetric datum those are the rows v >= 0 of the mirror
-    lattice, and each row v_{nv-k} = -v_k is filled from row k at x index
-    (-j) % nx.  That reflection is exact only when the history's field is
-    odd in x, E(t, -x) = -E(t, x); every iterate of run_iteration on such a
-    datum is, to solver round-off.
+    Only the kept rows of _transported_velocities go through the
+    characteristics, the same rows for every slice of the call.  The rows
+    whose labels cannot reach f*'s support, where every velocity within
+    _reach(history) of v has sup_x |f*| below REACH_TOL sup |f*|, are read by
+    free flight, f*(x - v t, v); both that and f* at the row's labels are so
+    small.  For a reflection-symmetric datum the rows are chosen among those
+    v >= 0 of the mirror lattice, and each row v_{nv-k} = -v_k is filled from
+    row k at x index (-j) % nx.  That reflection is exact only when the
+    history's field is odd in x, E(t, -x) = -E(t, x); every iterate of
+    run_iteration on such a datum is, to solver round-off.
 
     The transported rows go through equal blocks of whole velocity rows
     (_row_blocks); every operation on the way is per point or per row, so
@@ -381,9 +407,10 @@ def transported_datum(
     quiet = history.quiet_time()
     times = np.asarray(times, dtype=float)
     f = np.empty((v.size, nx))
-    moving = _transported_velocities(datum, v)
-    half = v.size - moving.size
-    g = f[half:]  # the transported rows
+    kept, free = _transported_velocities(datum, history, v)
+    moving = v[kept]
+    g = f[kept]  # the transported rows
+    half = v.size // 2 if datum.reflection_symmetric else 0
     mirror = -np.arange(nx) % nx
     D = np.empty((2, moving.size, nx))
     blocks = _row_blocks(moving.size, nx)
@@ -454,6 +481,8 @@ def transported_datum(
             g[rows] = eval_f_star(datum, LX, V).reshape(-1, nx)
             D[0, rows] = (LX - (X0 - t * V0)).reshape(-1, nx)
             D[1, rows] = (V - V0).reshape(-1, nx)
+        if free.size:
+            f[free] = _free_flight(datum, t, x, v[free])
         if half:
             # mirror is in range, so "clip" reads what "raise" would, without its buffered copy.
             np.take(f[:half:-1], mirror, axis=1, out=f[:half], mode="clip")
@@ -466,12 +495,53 @@ def _transported_slices(history: FieldHistory) -> int:
     return int(np.searchsorted(history.times, history.quiet_time()))
 
 
-def _transported_velocities(datum: AsymptoticDatum, v: np.ndarray) -> np.ndarray:
-    """Rows of the velocity_grid lattice v that transported_datum transports; it reads the others by reflection.
+def _reach(history: FieldHistory) -> float:
+    """Bound K on the velocity kick |V(T) - v| of any transport on history.
 
-    v >= 0 for a reflection-symmetric datum, all of v otherwise.
+    K = dt sum_{i<q} m_i + step sum_{0<i<q} |m_i - m_{i-1}|, with
+    m_i = 1.25 max(s_i, s_{i+1}), s_i the nodal sup_x |E| and q the quiet
+    node; past the quiet time a transport flies free.  A sample in
+    [t_i, t_{i+1}] is the four-point cubic of a row blended linearly between
+    nodes i and i + 1, so it is at most m_i: 1.25 is the cubic's Lebesgue
+    constant on its middle cell.  A Nystrom step adds to V its length times a
+    convex combination of its three samples, so the discrete kick obeys the
+    first sum, to round-off, when every step lies in one slice, as on the
+    lattice of a start on a time node (every start push_density and the weak
+    gaps make).  A step of length at most step = dt / SUBSTEPS across node i
+    adds at most step |m_i - m_{i-1}| more, which the second sum bounds.
     """
-    return v[v.size // 2 :] if datum.reflection_symmetric else v
+    q = int(np.searchsorted(history.times, history.quiet_time()))
+    sup = np.max(np.abs(history.E[: q + 1]), axis=1)
+    m = 1.25 * np.maximum(sup[:-1], sup[1:])
+    return history.dt * float(m.sum()) + history.dt / SUBSTEPS * float(np.abs(np.diff(m)).sum())
+
+
+def _transported_velocities(datum: AsymptoticDatum, history: FieldHistory, v: np.ndarray):
+    """(kept, free): the velocity_grid rows v that transported_datum transports on history's field, and the free-flight rows.
+
+    Of the rows v >= 0 of a reflection-symmetric datum (the others are
+    reflected from them), or of every row otherwise, a row can reach f*'s
+    support when velocity_profile reaches REACH_TOL sup |f*| on the band
+    within _reach(history) of it, which holds every label velocity V(T) of
+    the row.  kept is the slice of rows from the first such row to the last
+    (empty when there is none); free holds the indices of the other rows.
+    f on a free row, and f*(x - v t, v) that stands in for it, are below
+    REACH_TOL sup |f*| in magnitude.
+    """
+    first = v.size // 2 if datum.reflection_symmetric else 0
+    u = v[first:]
+    reach = _reach(history)
+    # One band per row, and last the whole line, whose profile is sup |f*|.
+    bands = velocity_profile(datum, np.append(u - reach, -np.inf), np.append(u + reach, np.inf))
+    reaching = np.flatnonzero(bands[:-1] >= REACH_TOL * bands[-1])
+    lo, hi = (int(reaching[0]), int(reaching[-1]) + 1) if reaching.size else (0, 0)
+    kept = slice(first + lo, first + hi)
+    return kept, np.r_[first : kept.start, kept.stop : v.size]
+
+
+def _free_flight(datum: AsymptoticDatum, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """f*(x_j - t v_k, v_k) on the v x x mesh: the datum carried by free flight from the horizon to t."""
+    return eval_f_star(datum, x[None, :] - t * v[:, None], v[:, None])
 
 
 def _free_streaming_rows(
@@ -494,7 +564,7 @@ def _free_streaming_rows(
             rho[i] = mean + (wh @ np.cos(phase)) * cx + (wh @ np.sin(phase)) * sx
     else:
         for i, t in enumerate(times):
-            rho[i] = w @ eval_f_star(datum, x[None, :] - t * v[:, None], v[:, None])
+            rho[i] = w @ _free_flight(datum, t, x, v)
     return rho
 
 
@@ -533,7 +603,9 @@ def push_density(
     composed slices had been transported ahead, each slice's single-slice
     composition estimate (errors), the largest share of a budget spent, and
     the push's field samples.  For a reflection-symmetric datum
-    transported_datum transports only the rows v >= 0 of a slice.
+    transported_datum transports only the rows v >= 0 of a slice, and of
+    any datum it reads the rows whose labels cannot reach f*'s support by
+    free flight.
     """
     v, w = velocity_grid(vmax, nv)
     times = history.times
@@ -676,7 +748,6 @@ def run_iteration(
     result = SchemeResult(horizon=horizon, vmax=vmax)
     history = FieldHistory.zero(times, grid)
     v, _ = velocity_grid(vmax, settings.nv)
-    mesh = _transported_velocities(datum, v).size * settings.nx
     density = None
     tol = None
     for n in range(1, settings.max_iterations + 1):
@@ -690,6 +761,7 @@ def run_iteration(
         new_history = field_update(density, grid)
         updated = time.perf_counter()
         transported = _transported_slices(history)
+        kept, free = _transported_velocities(datum, history, v)
         newton = new_history.newton
         result.sweeps.append(
             SweepStats(
@@ -701,7 +773,9 @@ def run_iteration(
                 spent=density.spent,
                 shared=int(density.shared.sum()),
                 discarded=int(density.discarded.sum()),
-                mesh_points=mesh,
+                mesh_points=(kept.stop - kept.start) * settings.nx,
+                free_rows=free.size,
+                reach=_reach(history),
                 sampled_points=density.sampled_points,
                 newton_steps=int(newton.steps.sum()),
                 newton_residual=float(newton.residual.max()),

@@ -25,6 +25,7 @@ from vpme_scatter.asymptotic import (
     tabulated_fourier,
     validate_class_membership,
     velocity_cutoff,
+    velocity_profile,
     zeta_upper_bound,
 )
 from vpme_scatter.errors import OutOfRangeError, ParameterError
@@ -327,11 +328,15 @@ class TestTabulatedFamily:
         [
             ("x,v\n0.0,0.0\n", "missing column 'f'"),
             ("x,v,f,x\n0.0,0.0,1.0,0.0\n", "repeated column 'x'"),
-            ("x,v,f\n0.0,0.0,1.0\n0.0,abc,1.0\n", "could not convert string 'abc'"),
-            ("x,v,f\n0.0,0.0,1.0\n0.0,,1.0\n", "could not convert string ''"),
-            ("x,v,f\n0.0,0.0,1.0\n0.0,1.0,nan\n", "non-finite value in data row 2"),
-            ("x,v,f\n0.0,0.0,1.0\n-inf,1.0,1.0\n", "non-finite value in data row 2"),
-            ("x,v,f\n0.0,0.0,1.0\n0.5,1.0\n", "number of columns changed from 3 to 2"),
+            ("x,v,f\n0.0,0.0,1.0\n0.0,abc,1.0\n", "could not convert string 'abc' to float64 on line 3, column 2"),
+            ("x,v,f\n0.0,0.0,1.0\n0.0,,1.0\n", "could not convert string '' to float64 on line 3, column 2"),
+            ("x,v,f\n0.0,0.0,1.0\n0.0,1.0,nan\n", "non-finite value on line 3"),
+            ("x,v,f\n0.0,0.0,1.0\n-inf,1.0,1.0\n", "non-finite value on line 3"),
+            ("x,v,f\n0.0,0.0,1.0\n0.5,1.0\n", "number of columns changed from 3 to 2 on line 3"),
+            # Lines are counted in the file, the header, comments and blank lines included.
+            ("# t\nx,v,f\n\n0.0,a,1.0\n", "could not convert string 'a' to float64 on line 4, column 2"),
+            ("x,v,f\n# t\n0.0,0.0,1.0\n0.5,1.0\n", "number of columns changed from 3 to 2 on line 4"),
+            ("\nx,v,f # h\r\n0.0,0.0,1.0\r\n\r\n0.5,1.0,inf # c\r\n", "non-finite value on line 5"),
             ("x,v,f\n0.0,0.0\n0.5,1.0\n", "rows have 2 values, the header names 3"),
             ("x,v,f\n", "no data rows"),
             ("x,v,f\n# only a comment\n\n", "no data rows"),
@@ -349,6 +354,34 @@ class TestTabulatedFamily:
         path.write_text("x,v,f\n0.0,0.0,1.0\n0.0,1.0,1.0\n0.5,0.0,1.0\n")
         with pytest.raises(ParameterError):
             load_tabulated_grid(path, EXPLORATORY_KLASS)
+
+
+class TestVelocityProfile:
+    """velocity_profile: sup |f*| over the torus and a velocity band."""
+
+    @pytest.mark.parametrize("family", ["gaussian-cosine", "tabulated"])
+    def test_bounds_the_datum_on_every_band(self, family):
+        datum = make_gaussian_cosine_datum(0.8, 0.7, EXPLORATORY_KLASS)
+        xs = np.linspace(0.0, 1.0, 481)  # holds the table's x nodes
+        if family == "tabulated":
+            x, v = np.arange(24) / 24.0, np.linspace(-5.0, 5.0, 41)
+            values = eval_f_star(datum, x[:, None], v[None, :]) * (1.0 + 0.3 * np.sin(2.0 * np.pi * 3.0 * x))[:, None]
+            datum = make_tabulated_datum(x, v, values, EXPLORATORY_KLASS)
+        rng = np.random.default_rng(5)
+        lo = rng.uniform(-4.9, 4.9, 40)
+        hi = np.minimum(lo + rng.uniform(0.0, 1.5, 40), 4.9)
+        for a, b, sup in zip(lo, hi, velocity_profile(datum, lo, hi)):
+            dense = float(np.max(np.abs(eval_f_star(datum, xs[:, None], np.linspace(a, b, 301)[None, :]))))
+            assert dense <= sup * (1.0 + 1e-12)
+            if family == "gaussian-cosine":
+                assert sup == pytest.approx(dense, rel=1e-3)  # attained at the u of the band nearest 0
+            else:
+                # The bracketing nodes lie within one node spacing of the band.
+                u = datum.v_nodes[(datum.v_nodes >= a - 0.25) & (datum.v_nodes <= b + 0.25)]
+                assert sup == float(np.max(np.abs(eval_f_star(datum, xs[:, None], u[None, :]))))
+        peak = velocity_profile(datum, -np.inf, np.inf)
+        want = np.max(np.abs(datum.values)) if family == "tabulated" else 2.0 * 0.8 / (0.7 * math.sqrt(2.0 * math.pi))
+        assert peak == pytest.approx(want, rel=1e-15)
 
 
 class TestVelocityTruncation:

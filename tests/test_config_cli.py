@@ -242,8 +242,12 @@ class TestRunCommand:
         settings = parse_config(manifest["config"]).settings
         nodes = settings.nt + 1
         assert sweeps[0]["transported"] == 0 and sweeps[0]["reused"] == nodes
-        # A gaussian-cosine datum is transported on the rows v >= 0 only.
-        assert all(s["mesh_points"] == (settings.nv // 2 + 1) * settings.nx for s in sweeps)
+        # A gaussian-cosine datum is transported on the rows v >= 0 only, less
+        # those read by free flight; at sigma 1 the 1e-10 tail lies past vmax 6,
+        # so no row is.
+        assert all(s["mesh_points"] == (settings.nv // 2 + 1 - s["free_rows"]) * settings.nx for s in sweeps)
+        assert all(s["free_rows"] == 0 for s in sweeps)
+        assert sweeps[0]["reach"] == 0.0 and all(s["reach"] > 0.0 for s in sweeps[1:])
         assert sweeps[0]["sampled_points"] == 0 and sweeps[0]["composed"] == 0
         assert all(s["transported"] + s["reused"] == nodes for s in sweeps)
         # The last slice before the quiet time is never composed.
@@ -263,7 +267,7 @@ class TestRunCommand:
                 f" composed {s['composed']} within tolerance {s['tolerance']!r}"
                 f" (spent {s['spent']!r}),"
                 f" shared {s['shared']}, discarded {s['discarded']},"
-                f" mesh points {s['mesh_points']},"
+                f" mesh points {s['mesh_points']} ({s['free_rows']} free rows, reach {s['reach']!r}),"
                 f" sampled points {s['sampled_points']},"
                 f" Newton steps {s['newton_steps']} (worst residual {s['newton_residual']!r},"
                 f" {s['newton_at_floor']} at the round-off floor)"

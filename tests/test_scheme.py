@@ -16,6 +16,7 @@ from vpme_scatter.asymptotic import (
     fourier_f_star,
     make_gaussian_cosine_datum,
     make_tabulated_datum,
+    velocity_profile,
 )
 from vpme_scatter.characteristics import SUBSTEPS, FieldHistory, nystrom_steps, transport_to_horizon
 from vpme_scatter import diagnostics, scheme
@@ -296,24 +297,32 @@ def _exact_slices(datum, history, times, vmax, nv):
         yield False, eval_f_star(datum, *_exact_labels(history, float(t), v)).reshape(v.size, -1)
 
 
+def _free_flight(datum, x, t: float, v):
+    """f*(x - v t, v) on the v x x mesh."""
+    return eval_f_star(datum, x[None, :] - t * v[:, None], v[:, None])
+
+
 def _transported_rows(datum, history, vmax, nv) -> np.ndarray:
     """push_density's Simpson sums on every slice with each slice transported to the horizon on its own.
 
-    Only the rows push_density transports go through the characteristics; for
-    a reflection-symmetric datum the rows v < 0 are reflected from v > 0 as
+    Only the rows push_density transports go through the characteristics,
+    and the rows it reads by free flight are f*(x - v t, v); for a
+    reflection-symmetric datum the rows v < 0 are reflected from v > 0 as
     push_density reflects them.  No slice is composed and no closed-form row
     read.
     """
     v, w = velocity_grid(vmax, nv)
-    moving = scheme._transported_velocities(datum, v)
-    nx = history.grid.nx
-    mirror = -np.arange(nx) % nx
+    kept, free = scheme._transported_velocities(datum, history, v)
+    x = history.grid.nodes
+    mirror = -np.arange(x.size) % x.size
+    half = v.size // 2 if datum.reflection_symmetric else 0
     rows = []
     for t in history.times:
-        f = eval_f_star(datum, *_exact_labels(history, float(t), moving))
-        f = f.reshape(moving.size, nx)
-        if moving.size < v.size:
-            f = np.vstack([f[:0:-1, mirror], f])
+        f = np.empty((v.size, x.size))
+        f[kept] = eval_f_star(datum, *_exact_labels(history, float(t), v[kept])).reshape(-1, x.size)
+        f[free] = _free_flight(datum, x, float(t), v[free])
+        if half:
+            f[:half] = f[:half:-1, mirror]
         rows.append(w @ f)
     return np.array(rows)
 
@@ -450,7 +459,8 @@ class TestComposition:
         datum, hist, vmax, nv = _COMPOSITION_CASES[case]()
         klass = datum.klass
         v, _ = velocity_grid(vmax, nv)
-        moving = scheme._transported_velocities(datum, v)
+        kept, free = scheme._transported_velocities(datum, hist, v)
+        moving = v[kept]
         n = scheme._transported_slices(hist)
         tolerance = scheme.FORCING * weighted_norm(hist, klass.a, klass.t0)
         labels = []
@@ -469,9 +479,10 @@ class TestComposition:
         # full transport.
         floor = np.finfo(float).eps * (1.0 + vmax * hist.horizon)
         blocks = len(scheme._row_blocks(moving.size, hist.grid.nx))
+        reads = blocks + (free.size > 0)  # each slice reads f* on its blocks, then on its free rows
         for k, i in enumerate(range(n - 1, -1, -1)):  # the push walks backward
             if composed[i]:
-                got = labels[k * blocks : (k + 1) * blocks]
+                got = labels[k * reads : k * reads + blocks]
                 want = _exact_labels(hist, float(hist.times[i]), moving)
                 for part, exact in zip(zip(*got), want):
                     assert np.max(np.abs(np.concatenate(part) - exact)) <= 16.0 * floor
@@ -488,7 +499,8 @@ class TestComposition:
         leaders = _leading_starts(monkeypatch)
         density = push_density(datum, hist, vmax, nv)
         assert not density.composed.any() and density.alone[:n].all()
-        mesh = len(scheme._transported_velocities(datum, velocity_grid(vmax, nv)[0])) * hist.grid.nx
+        v = velocity_grid(vmax, nv)[0]
+        mesh = v[scheme._transported_velocities(datum, hist, v)[0]].size * hist.grid.nx
         assert density.shared.any() == (2 * mesh <= scheme.SHARED_POINTS)
         exact = np.maximum(_transported_rows(datum, hist, vmax, nv)[:n], 0.0)
         _assert_rows_match(density.rho[:n], density, exact, leaders)
@@ -619,7 +631,8 @@ class TestSharedLattice:
         grouped = push_density(datum, hist, vmax, nv)
         assert grouped.shared[:n].all()
         monkeypatch.setattr(scheme, "TRANSPORT_BLOCK", 8 * hist.grid.nx)
-        assert len(scheme._row_blocks(nv // 2 + 1, hist.grid.nx)) > 1
+        v = velocity_grid(vmax, nv)[0]
+        assert len(scheme._row_blocks(v[scheme._transported_velocities(datum, hist, v)[0]].size, hist.grid.nx)) > 1
         density = push_density(datum, hist, vmax, nv)
         assert not density.shared.any()
         assert np.array_equal(density.rho[:n], exact)
@@ -694,7 +707,9 @@ class TestSharedLattice:
         hist, previous, tolerance = _next_push(datum, _LINGERING, sweeps)
         n = scheme._transported_slices(hist)
         vmax = default_vmax(datum)
-        mesh = (_LINGERING.nv // 2 + 1) * _LINGERING.nx
+        v = velocity_grid(vmax, _LINGERING.nv)[0]
+        mesh = v[scheme._transported_velocities(datum, hist, v)[0]].size * _LINGERING.nx
+        assert mesh < (_LINGERING.nv // 2 + 1) * _LINGERING.nx  # rows past the tail fly free
         sampled = []
         sample = FieldHistory.sample
 
@@ -723,6 +738,88 @@ class TestSharedLattice:
         quiet, step = hist.quiet_time(), hist.dt / SUBSTEPS
         ahead = sum(nystrom_steps(quiet - t, step) for t in hist.times[:n][every.discarded[:n]])
         assert every.sampled_points == none.sampled_points + 3 * mesh * ahead
+
+
+class TestFreeRows:
+    """Rows whose labels cannot reach f*'s support read by free flight: within REACH_TOL sup |f*| of a transport."""
+
+    def test_the_reach_bounds_every_kick(self):
+        # Every characteristic of the whole mesh, carried on its own from a
+        # loud time node or from between two, is kicked by at most the reach,
+        # which is within a factor 2 of the largest kick here.
+        datum, hist, vmax, nv = _COMPOSITION_CASES["lingering"]()
+        v, _ = velocity_grid(vmax, nv)
+        reach = scheme._reach(hist)
+        nodes = hist.times[: scheme._transported_slices(hist)]
+        V0 = np.repeat(v, hist.grid.nx)
+        kicks = [
+            float(np.max(np.abs(_exact_labels(hist, float(t), v)[1] - V0)))
+            for t in np.concatenate((nodes, nodes + 0.37 * hist.dt))
+        ]
+        assert max(kicks) <= reach <= 2.0 * max(kicks)
+
+    @pytest.mark.parametrize("case", ["lingering", "table"])
+    def test_free_rows_stay_within_the_bound_of_an_all_rows_push(self, case):
+        # A free row of f, and its reflection, are within REACH_TOL sup |f*|
+        # of f* at the row's labels; each density row is within that times
+        # the Simpson weights of those rows, beside round-off.
+        datum, hist, vmax, nv = _COMPOSITION_CASES[case]()
+        v, w = velocity_grid(vmax, nv)
+        kept, free = scheme._transported_velocities(datum, hist, v)
+        assert free.size > 0 and kept.stop > kept.start
+        cut = np.zeros(v.size, dtype=bool)
+        cut[free] = True
+        if datum.reflection_symmetric:
+            cut[nv - free] = True
+        else:
+            assert cut[0] and cut[-1]  # this table's rows are cut on both sides
+        bound = scheme.REACH_TOL * float(velocity_profile(datum, -np.inf, np.inf))
+        n = scheme._transported_slices(hist)
+        times = hist.times[:n]
+        pushed = scheme.transported_datum(datum, hist, times, vmax, nv)
+        for (_, f), (_, exact) in zip(pushed, _exact_slices(datum, hist, times, vmax, nv)):
+            assert np.max(np.abs(f[cut] - exact[cut])) < bound
+        full = np.maximum(_full_mesh_rows(datum, hist, vmax, nv)[:n], 0.0)
+        gap = np.abs(push_density(datum, hist, vmax, nv).rho[:n] - full)
+        assert np.max(gap) <= bound * w[cut].sum() + 1e-13 * np.max(full)
+
+    @pytest.mark.parametrize("case", ["theorem", "cli-tabulated"])
+    def test_data_without_free_rows_push_every_row(self, case, monkeypatch):
+        # A theorem-regime datum and the CI table reach past +-vmax: no row is
+        # free, and the pushes with and without a tolerance are those of a
+        # rule that keeps every row, bit for bit.
+        datum, hist, vmax, nv = {
+            "theorem": lambda: _swept(
+                make_gaussian_cosine_datum(1e-6, 17.0, THEOREM_KLASS), RunSettings(nx=256, nv=512, nt=100)
+            ),
+            "cli-tabulated": _COMPOSITION_CASES["cli-tabulated"],
+        }[case]()
+        v, _ = velocity_grid(vmax, nv)
+        assert scheme._transported_velocities(datum, hist, v)[1].size == 0
+        tolerances = (0.0, scheme.FORCING * weighted_norm(hist, datum.klass.a, datum.klass.t0))
+        pushed = [push_density(datum, hist, vmax, nv, tol) for tol in tolerances]
+        monkeypatch.setattr(scheme, "REACH_TOL", 0.0)  # every row reaches
+        for density, tol in zip(pushed, tolerances):
+            again = push_density(datum, hist, vmax, nv, tol)
+            assert np.array_equal(density.rho, again.rho)
+            assert np.array_equal(density.composed, again.composed)
+            assert density.sampled_points == again.sampled_points > 0
+
+    def test_a_table_beyond_the_window_flies_free(self):
+        # The table vanishes for |v| < 5: no row of [-3, 3] reaches it, so the
+        # push samples no field and reads every slice from free flight.
+        xt = np.arange(16) / 16.0
+        vt = np.linspace(-8.0, 8.0, 65)
+        profile = np.where(np.abs(vt) > 5.0, np.exp(-((np.abs(vt) - 6.0) ** 2)), 0.0)
+        datum = make_tabulated_datum(xt, vt, np.outer(1.0 + 0.5 * np.cos(2 * np.pi * xt), profile), EXPLORATORY_KLASS)
+        hist = _quieting_history()
+        v, w = velocity_grid(3.0, 32)
+        kept, free = scheme._transported_velocities(datum, hist, v)
+        assert kept.stop == kept.start and free.size == v.size
+        density = push_density(datum, hist, 3.0, 32)
+        assert density.sampled_points == 0 and scheme._transported_slices(hist) > 0
+        closed = scheme._free_streaming_rows(datum, hist.times, hist.grid.nodes, v, w)
+        assert np.array_equal(density.rho, np.maximum(closed, 0.0))
 
 
 class TestFreeStreamingRows:
@@ -856,8 +953,13 @@ class TestSweepCounters:
             warnings.simplefilter("ignore", UserWarning)
             result = run_iteration(datum, settings)
         rows = settings.nv // 2 + 1 if datum.reflection_symmetric else settings.nv + 1
-        assert all(s.mesh_points == rows * settings.nx for s in result.sweeps)
-        _assert_meshes(set(sampled), rows * settings.nx)
+        assert all(s.mesh_points == (rows - s.free_rows) * settings.nx for s in result.sweeps)
+        # vmax is 8 widths: the rows past the 1e-10 tail fly free, the same
+        # rows in both sweeps that transport.
+        assert all(s.free_rows > 0 for s in result.sweeps)
+        meshes = {s.mesh_points for s in result.sweeps if s.sampled_points}
+        assert len(meshes) == 1
+        _assert_meshes(set(sampled), meshes.pop())
         assert sum(s.sampled_points for s in result.sweeps) == sum(sampled) > 0
 
 
