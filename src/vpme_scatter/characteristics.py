@@ -191,10 +191,19 @@ class FieldHistory:
 
 
 def nystrom_steps(span: float, step: float) -> int:
-    """Number of fixed Nystrom steps of at most the given step over a span of the given length."""
+    """Number of fixed Nystrom steps of at most the given step over a span of the given length.
+
+    A span within 1e-9 (relative) of a whole number of steps takes that
+    number, of steps that may exceed the given one by that much: the span from time node i to node j of a history then takes
+    SUBSTEPS (j - i) steps of history.dt / SUBSTEPS, although the nodes and
+    dt carry the round-off of their linspace (enough, over a long span, to
+    push the ratio more than 1e-12 past the whole number).
+    """
     if span == 0.0:
         return 0
-    return max(1, int(math.ceil(abs(span) / step - 1e-12)))
+    ratio = abs(span) / step
+    whole = round(ratio)
+    return max(1, whole if abs(ratio - whole) <= 1e-9 * ratio else math.ceil(ratio))
 
 
 def _nystrom_steps(field, t_from: float, t_to: float, nsteps: int, X, V, joins):

@@ -24,6 +24,7 @@ import numpy as np
 from .asymptotic import (
     AsymptoticDatum,
     ClassParameters,
+    _distinct,
     datum_mass,
     eval_f_star,
     h_limit,
@@ -273,7 +274,7 @@ def weak_convergence_gap(
 
 def weak_gap_sampling(history: FieldHistory, nv: int) -> tuple[list[float], int]:
     """Report times and velocity count of a run's weak gaps: six times spread over the history, nv capped at 512."""
-    idx = np.unique(np.linspace(0, history.times.size - 1, 6).astype(int))
+    idx = _distinct(np.linspace(0, history.times.size - 1, 6).astype(int))
     return [float(history.times[i]) for i in idx], min(nv, 512)
 
 

@@ -7,10 +7,15 @@ potential is the convolution Ubar = W * rho with the periodic kernel
 W(x) = (x^2 - |x|)/2, computed spectrally (the source's zero mode is
 dropped; the mean of Ubar is fixed by the kernel's own mean -1/12).  The
 nonlinear correction solves d^2 Utilde / dx^2 = exp(Ubar + Utilde) - 1 by
-damped Newton on the periodic central-difference operator.  Every row keeps
-its own line search and stopping test and leaves the working set once it
-stops; each Newton step solves the cyclic tridiagonal Jacobian systems of the
-rows left in one call.  Sherman-Morrison turns each system into one
+damped Newton on the periodic central-difference operator D_h.  Newton starts
+from the solve of the equation linearized at Utilde = 0 with exp(Ubar) frozen
+at its row mean, a constant-coefficient system that one rfft/irfft pair
+solves (the fast solver of the constant-coefficient operator as the start for
+a variable-coefficient one: Concus and Golub, SIAM J. Numer. Anal. 10, 1973);
+for the small potentials of the theorem regime that start already meets the
+tolerance.  Every row keeps its own line search and stopping test and leaves
+the working set once it stops; each Newton step solves the cyclic tridiagonal
+Jacobian systems of the rows left in one call.  Sherman-Morrison turns each system into one
 tridiagonal elimination with two right-hand sides, done by cyclic reduction
 vectorized over the rows (Hockney, J. ACM 12, 1965; Buzbee, Golub and
 Nielson, SIAM J. Numer. Anal. 7, 1970) down to sequential Thomas sweeps on at
@@ -62,6 +67,8 @@ class NewtonReport:
     """What solve_nonlinear did on each row: Jacobian solves, final max-norm residual, acceptance at the floor.
 
     Each field has the leading shape of the solved stack (() for one slice).
+    steps counts the Newton steps taken after the linearized start, so a row
+    whose start already meets the tolerance has 0.
     at_floor marks the rows accepted at the round-off floor after a stalled
     line search, above the residual tolerance.
     """
@@ -334,9 +341,24 @@ def _line_search(Ubar, U, F, e, res, delta, h, lam=1.0):
 _STACK_POINTS = 16384
 
 
+def _linearized(Ubar):
+    """Per row, U0 solving (D_h - c) U0 = exp(Ubar) - 1, with c the row mean of exp(Ubar), by one rfft/irfft pair.
+
+    This is the equation linearized at Utilde = 0 with exp(Ubar) frozen at
+    its mean, so the operator is constant and D_h, the periodic central
+    difference, has the Fourier symbol -4 nx^2 sin^2(pi k / nx).  Since
+    c > 0 no mode is singular.
+    """
+    n = Ubar.shape[-1]
+    e = np.exp(Ubar)
+    symbol = -4.0 * n**2 * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
+    return np.fft.irfft(np.fft.rfft(e - 1.0) / (symbol - e.mean(axis=1, keepdims=True)), n=n)
+
+
 def _newton(rows, U, res, steps, stalled, h, tol, max_iter):
-    """Damped Newton on a stack of Ubar rows, filling in its U, res, steps and stalled (views of the caller's arrays)."""
+    """Damped Newton on a stack of Ubar rows from their linearized solves, filling in its U, res, steps and stalled (views of the caller's arrays)."""
     inv_h2 = 1.0 / h**2
+    U[:] = _linearized(rows)
     F, e = _residual(rows, U, h)
     res[:] = np.max(np.abs(F), axis=1)
     live = np.arange(len(rows))  # the rows still iterating; ub, u, f, e, r, stuck are theirs
@@ -362,10 +384,13 @@ def solve_nonlinear(
 ):
     """Solve d^2 Utilde = exp(Ubar + Utilde) - 1 with damped Newton, for one slice or a stack.
 
-    Ubar has shape (nx,) or (k, nx); each row is solved on its own.  The
-    Jacobian L - diag(exp(Ubar + Utilde)) is strictly negative definite, so
-    the full step is reliable; damping halves a row's step until its max-norm
-    residual decreases.  A row stops once its max-norm residual is <= tol.
+    Ubar has shape (nx,) or (k, nx); each row is solved on its own.  Newton
+    starts from U0 = (D_h - c)^{-1} (exp(Ubar) - 1), c the row mean of
+    exp(Ubar) (_linearized), and the report's steps count the steps after
+    it.  The Jacobian D_h - diag(exp(Ubar + Utilde)) is strictly negative
+    definite, so the full step is reliable; damping halves a row's step
+    until its max-norm residual decreases.  A row stops once its max-norm
+    residual is <= tol, which U0 itself may already meet.
     When its line search stalls above tol, the row is accepted if its
     residual is within the round-off floor of the 1/h^2 difference operator,
     4 eps max|Utilde| / h^2 (on fine grids that floor exceeds an absolute
@@ -382,7 +407,7 @@ def solve_nonlinear(
         raise DomainError("Ubar must be finite on all nodes", _first_row(~np.isfinite(Ubar)))
     inv_h2 = 1.0 / grid.h**2
     rows = Ubar.reshape(-1, grid.nx)
-    U = np.zeros(rows.shape)
+    U = np.empty(rows.shape)
     res = np.empty(len(rows))
     steps = np.zeros(len(rows), dtype=int)
     stalled = np.zeros(len(rows), dtype=bool)

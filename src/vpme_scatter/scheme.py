@@ -194,7 +194,9 @@ class SweepStats:
     pushed on); sampled_points counts the field samples of
     the transport (three per Nystrom step taken per transported point),
     discarded transports included; newton_steps sums the Newton steps
-    (Jacobian solves) of the field update over its slices, newton_residual is
+    (Jacobian solves) of the field update over its slices, each counted
+    after the slice's linearized start (0 where that start meets the
+    tolerance), newton_residual is
     the worst slice's final max-norm residual and newton_at_floor counts the
     slices accepted at the round-off floor above poisson.NEWTON_TOL; push_s
     and update_s are the wall times of the density push and the field update.

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from vpme_scatter.characteristics import (
+    SUBSTEPS,
     FieldHistory,
     _cubic_coefficients,
     _eval_cubic,
+    nystrom_steps,
     transport_to,
     transport_to_horizon,
 )
@@ -406,6 +408,35 @@ class TestSharedLattice:
             transport_to_horizon(hist, np.array([hist.times[2], hist.times[5] + step / 2]), X, X, step)
         with pytest.raises(ParameterError, match="runs forward"):
             transport_to(hist, hist.times[[2, 5]], hist.times[4], X, X, step)
+
+
+class TestNodeSpans:
+    """A transport from time node i to node j takes SUBSTEPS (j - i) steps of dt / SUBSTEPS."""
+
+    @pytest.mark.parametrize("nt", [114, 116, 200])
+    def test_every_node_pair_takes_substeps_per_slice(self, nt):
+        # On [0.7, 3] the linspace round-off in the nodes and in dt puts the
+        # ratio of a long node span to the step more than 1e-12 past its
+        # whole number at these nt; the count is still that whole number.
+        hist = FieldHistory.zero(np.linspace(0.7, 3.0, nt + 1), SpatialGrid(8))
+        step = hist.dt / SUBSTEPS
+        for i in range(nt):
+            spans = hist.times[i + 1 :] - hist.times[i]
+            counts = [nystrom_steps(float(span), step) for span in spans]
+            assert counts == [SUBSTEPS * k for k in range(1, nt + 1 - i)]
+
+    def test_a_group_of_every_node_stays_on_the_lattice(self):
+        # Every node of a 200-slice history, loud to the horizon, joins the
+        # lattice of node 0 at its own step and keeps its own labels.
+        hist = _cosine_history(nx=16, nt=200, t0=0.7, T=3.0)
+        assert hist.quiet_time() == hist.horizon
+        step = hist.dt / SUBSTEPS
+        X, V = np.array([0.1, 0.6]), np.array([0.4, -1.1])
+        shape = (hist.times.size, X.size)
+        XT, VT = transport_to_horizon(hist, hist.times, np.broadcast_to(X, shape), np.broadcast_to(V, shape), step)
+        for i in (0, 57, 113, 199, 200):
+            X1, V1 = transport_to_horizon(hist, float(hist.times[i]), X, V, step)
+            assert np.max(np.abs(XT[i] - X1)) <= 1e-13 and np.max(np.abs(VT[i] - V1)) <= 1e-13
 
 
 @given(

@@ -18,6 +18,7 @@ from vpme_scatter.poisson import (
     E6,
     NEWTON_TOL,
     SpatialGrid,
+    _linearized,
     kernel_eval,
     make_field_slice,
     solve_cyclic_tridiagonal,
@@ -442,3 +443,77 @@ class TestStacks:
         _, E2, _ = solve_nonlinear(U2, grid)
         expected = float(np.max(np.abs(E1 - E2))) / float(np.max(np.abs(U1 - U2)))
         assert stability_ratio(U1, U2, grid) == expected
+
+
+def _dense_difference(nx):
+    """The periodic central-difference operator D_h as a dense nx x nx matrix."""
+    eye = np.eye(nx)
+    return (np.roll(eye, 1, axis=1) - 2.0 * eye + np.roll(eye, -1, axis=1)) * float(nx) ** 2
+
+
+class TestDenseOracles:
+    """The nonlinear solve against dense linear algebra that shares none of its code."""
+
+    @pytest.mark.parametrize("nx", [16, 64])
+    def test_linearized_start_solves_its_circulant_system(self, nx):
+        # U0 solves (D_h - c) U0 = exp(Ubar) - 1, c the row mean of
+        # exp(Ubar), to round-off: within cond(D_h - c) eps max|U0|.
+        Ubar, _ = solve_linear(_densities(nx, [0.0, 1e-6, 0.25, 0.9], seed=nx), SpatialGrid(nx))
+        U0 = _linearized(Ubar)
+        D = _dense_difference(nx)
+        for i, row in enumerate(Ubar):
+            e = np.exp(row)
+            A = D - e.mean() * np.eye(nx)
+            want = np.linalg.solve(A, e - 1.0)
+            bound = np.linalg.cond(A, np.inf) * np.finfo(float).eps * np.max(np.abs(want))
+            assert np.max(np.abs(U0[i] - want)) <= bound
+
+    @staticmethod
+    def _dense_newton(Ubar):
+        """Full Newton steps from Utilde = 0, each a dense solve with the Jacobian D_h - diag(exp(Ubar + U))."""
+        D = _dense_difference(Ubar.size)
+        U = np.zeros(Ubar.size)
+        for _ in range(30):
+            e = np.exp(Ubar + U)
+            delta = np.linalg.solve(D - np.diag(e), D @ U - (e - 1.0))
+            U = U - delta
+            if np.max(np.abs(delta)) <= 1e-15:
+                break
+        return U
+
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [[0.25, 0.5, 0.9], [0.0, 1e-8, 1e-6], [0.9, 1e-6, 0.0, 0.25, 1e-8]],
+        ids=["loud", "quiet", "mixed"],
+    )
+    def test_agrees_with_dense_jacobian_newton(self, amplitudes):
+        # For two iterates with max-norm residuals r1, r2 of the difference
+        # equation, F(U1) - F(U2) = J (U1 - U2), where -J = diag(exp(Ubar +
+        # xi)) - D_h, xi between U1 and U2, is an M-matrix whose row sums are
+        # at least m = min exp(Ubar + min(U1, U2)); so |U1 - U2| <= (r1 + r2) / m.
+        # Each residual is evaluated to within the round-off floor
+        # 4 eps max|U| nx^2 of the 1/h^2 operator, which the bound adds.
+        nx = 64
+        Ubar, _ = solve_linear(_densities(nx, amplitudes, seed=len(amplitudes)), SpatialGrid(nx))
+        Utilde, _, _ = solve_nonlinear(Ubar, SpatialGrid(nx))
+        D = _dense_difference(nx)
+        for i, row in enumerate(Ubar):
+            want = self._dense_newton(row)
+            got = Utilde[i]
+            r1, r2 = (float(np.max(np.abs(D @ U - (np.exp(row + U) - 1.0)))) for U in (got, want))
+            floor = 4.0 * np.finfo(float).eps * max(np.max(np.abs(got)), np.max(np.abs(want))) * nx**2
+            m = float(np.min(np.exp(row + np.minimum(got, want))))
+            assert r1 <= NEWTON_TOL + floor
+            assert np.max(np.abs(got - want)) <= (r1 + r2 + 2.0 * floor) / m
+
+    @pytest.mark.parametrize("nx", [128, 1024])
+    def test_theorem_regime_densities_converge_at_the_linearized_start(self, nx):
+        # Densities of the size the theorem config solves (mass about 1e-6):
+        # U0 misses the solution by terms of second order in Ubar, about
+        # (1e-6 / 12)^2, far below the tolerance, so no Newton step is taken.
+        rho = 1e-6 * _densities(nx, [0.0, 0.25, 0.9, 0.9], seed=nx)
+        Ubar, _ = solve_linear(rho, SpatialGrid(nx))
+        Utilde, _, report = solve_nonlinear(Ubar, SpatialGrid(nx))
+        assert not report.steps.any()
+        assert np.all(report.residual <= NEWTON_TOL) and not report.at_floor.any()
+        assert np.array_equal(Utilde, _linearized(Ubar))

@@ -622,6 +622,20 @@ class TestSharedLattice:
                 assert np.max(np.abs(XT[m] - X)) <= 8.0 * floor
                 assert np.max(np.abs(VT[m] - V)) <= 8.0 * floor
 
+    def test_a_one_block_run_at_the_default_nt_converges(self):
+        # At RunSettings' default nt = 200 the nodes' linspace round-off
+        # puts some node spans more than 1e-12 past a whole number of
+        # steps; a grouped slice must still take SUBSTEPS steps per slice,
+        # or it falls off its leader's lattice and transport_to refuses it.
+        datum = make_gaussian_cosine_datum(0.1, 1.0, EXPLORATORY_KLASS)
+        settings = RunSettings(nx=16, nv=16, horizon=2.0, exploratory=True)
+        assert settings.nt == 200
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            result = run_iteration(datum, settings)
+        assert result.converged
+        assert any(s.shared for s in result.sweeps)
+
     def test_a_mesh_of_several_blocks_is_not_grouped(self, monkeypatch):
         # Held labels are one block, so a mesh split into row blocks is
         # transported one slice at a time, bit for bit, however many fit.
